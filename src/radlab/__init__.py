@@ -31,6 +31,7 @@ from .errors import (
     CapExceededError,
     CycleParseError,
     DegreeMismatchError,
+    GroupFileError,
     MembershipError,
     OrderMismatchError,
     PreconditionError,
@@ -74,6 +75,7 @@ __all__ = [
     "Factorization",
     "FiniteField",
     "GF",
+    "GroupFileError",
     "MembershipError",
     "MembershipVerdict",
     "OrderMismatchError",

@@ -18,7 +18,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import OrderMismatchError, PreconditionError
+from .errors import CycleParseError, GroupFileError, OrderMismatchError, PreconditionError
 from .gf import GF
 from .group import PermutationGroup, group_from_cycles
 from .linalg import (
@@ -292,11 +292,46 @@ class LoadedGroup:
     socle: PermutationGroup | None
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _check_group_file(path, data) -> None:
+    """Raise GroupFileError naming the file and the first field that breaks
+    the schema (see the module docstring)."""
+    def bad(field: str, why: str):
+        return GroupFileError(f"{path}: field {field!r} {why}")
+
+    if not isinstance(data, dict):
+        raise GroupFileError(f"{path}: expected a JSON object")
+    if "degree" not in data:
+        raise bad("degree", "is missing")
+    if not _is_int(data["degree"]) or data["degree"] < 1:
+        raise bad("degree", "must be a positive integer")
+    gens = data.get("generators")
+    if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
+        raise bad("generators", "must be a list of cycle strings")
+    name = data.get("name")
+    if name is not None and not isinstance(name, str):
+        raise bad("name", "must be a string")
+    idx = data.get("socle_generators")
+    if idx is not None and not (
+        isinstance(idx, list) and all(_is_int(i) and 0 <= i < len(gens) for i in idx)
+    ):
+        raise bad("socle_generators", "must be a list of indices into 'generators'")
+
+
 def load_group_file(path) -> LoadedGroup:
     with open(path, encoding="utf-8") as fh:
         data = json.load(fh)
+    _check_group_file(path, data)
     degree = data["degree"]
-    gens = [Perm(degree, parse_cycles(s, degree)) for s in data["generators"]]
+    gens = []
+    for i, text in enumerate(data["generators"]):
+        try:
+            gens.append(Perm(degree, parse_cycles(text, degree)))
+        except CycleParseError as e:
+            raise GroupFileError(f"{path}: field 'generators' item {i}: {e}") from None
     g = PermutationGroup(degree, gens, name=data.get("name"))
     expected = data.get("expected_order")
     if expected is not None and g.order != expected:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog
-from .arith import factorize
 from .criteria import (
     DEFAULT_PAIR_CAP,
     METHOD_B1,
@@ -31,7 +30,7 @@ from .criteria import (
     member_oddp,
     member_two_element,
 )
-from .errors import CapExceededError, RadlabError
+from .errors import CapExceededError, PreconditionError, RadlabError
 from .group import DEFAULT_CLASS_CAP, DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, format_cycles, parse_cycles
 from .structure import solvable_radical
@@ -114,9 +113,14 @@ def _cmd_order(args, cfg: RunConfig) -> int:
 
 
 def _cmd_radical(args, cfg: RunConfig) -> int:
+    method = _METHODS[args.method] if args.method != "oracle" else "oracle"
+    if method == METHOD_TWO_ELEMENT:
+        raise PreconditionError(
+            "the two-element criterion applies only to x of odd prime-power order, "
+            "so it cannot generate R(G) by itself; use oracle, b1, oddp or combined"
+        )
     g = _load_target(args.group)
     name = g.name or args.group
-    method = _METHODS[args.method] if args.method != "oracle" else "oracle"
     t0 = time.perf_counter()
     if method == "oracle":
         rad = solvable_radical(g, cap=cfg.enumeration_cap, class_cap=cfg.class_cap)
@@ -127,10 +131,6 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
         checks = []
         for cls in g.class_representatives(cap=cfg.enumeration_cap, class_cap=cfg.class_cap):
             x = cls.representative
-            if method == METHOD_TWO_ELEMENT:
-                pairs = factorize(x.order()).pairs
-                if not (len(pairs) == 1 and pairs[0][0] != 2):
-                    continue
             v = fn(g, x, cfg.pair_cap, cfg.enumeration_cap)
             checks.append(CheckResult(format_cycles(x.t, g.degree), x.order(),
                                       cls.size, v.member, v.witness, True))

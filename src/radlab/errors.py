@@ -24,6 +24,10 @@ class CapExceededError(RadlabError, RuntimeError):
     """
 
 
+class GroupFileError(RadlabError, ValueError):
+    """A group definition file does not follow the group file schema."""
+
+
 class OrderMismatchError(RadlabError, ValueError):
     """A constructed group's order disagrees with its declared expected order."""
 

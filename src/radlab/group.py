@@ -12,7 +12,7 @@ in Perm objects.
 
 from __future__ import annotations
 
-from .arith import factorize, p_part
+from .arith import factorize, is_prime, p_part
 from .errors import (
     CapExceededError,
     DegreeMismatchError,
@@ -32,6 +32,9 @@ from .perm import (
 
 DEFAULT_ENUMERATION_CAP = 200_000
 DEFAULT_CLASS_CAP = 100_000
+# tables() folds the deepest chain levels into one list of at most this many
+# elements, so the fold stays small (512 byte tables take about 150 kB).
+TAIL_LIMIT = 512
 
 
 class _Level:
@@ -68,7 +71,7 @@ class PermutationGroup:
         self.gen_invs = [inv(t, degree) for t in tables]
         self._levels: list[_Level] = []
         self._order: int | None = None
-        self._pelement_cache: dict[int, tuple] = {}
+        self._pelement_cache: dict[int, _FilledStream] = {}
         for t in tables:
             self._add_generator(t)
 
@@ -211,28 +214,47 @@ class PermutationGroup:
 
     # -- element enumeration ---------------------------------------------------
 
-    def tables(self, cap: int = DEFAULT_ENUMERATION_CAP):
-        """Yield every element's raw table once, in deterministic chain order."""
+    def _check_cap(self, cap: int) -> None:
         if self.order > cap:
             raise CapExceededError(
                 f"group order {self.order} exceeds enumeration cap {cap}"
             )
+
+    def tables(self, cap: int = DEFAULT_ENUMERATION_CAP):
+        """Yield every element's raw table once, in deterministic chain order.
+
+        The deepest levels are folded into one transversal of their products
+        while it stays within TAIL_LIMIT elements; an odometer runs over the
+        remaining levels, and each partial product is composed with the whole
+        folded transversal in one comprehension. Composition is associative,
+        so the elements and their order are those of a plain odometer over
+        every level.
+        """
+        self._check_cap(cap)
         levels = self._levels
         if not levels:
             yield self._ident
             return
-        k = len(levels)
         us = [[pair[0] for pair in lvl.orbit.values()] for lvl in levels]
+        tail = us.pop()
+        while us and len(us[-1]) * len(tail) <= TAIL_LIMIT:
+            tail = [mul(t, u) for u in us.pop() for t in tail]
+        k = len(us)
         sizes = [len(u) for u in us]
         idx = [0] * k
         partial = [self._ident] * (k + 1)
+        byte_tables = type(self._ident) is bytes
         i = 0
         while True:
             while i < k:
                 u = us[i][idx[i]]
                 partial[i + 1] = mul(u, partial[i]) if idx[i] else partial[i]
                 i += 1
-            yield partial[k]
+            top = partial[k]
+            if byte_tables:
+                yield from [t.translate(top) for t in tail]
+            else:
+                yield from [mul(t, top) for t in tail]
             i = k - 1
             while i >= 0:
                 idx[i] += 1
@@ -331,13 +353,11 @@ class PermutationGroup:
         the seen-set then holds only elements of that order, keeping memory
         proportional to the filtered count.
         """
-        checker = None
+        tables = self.tables(cap)
         if order_filter is not None:
-            checker = self._order_checker(order_filter)
+            tables = filter(self._order_checker(order_filter), tables)
         seen: set = set()
-        for t in self.tables(cap):
-            if checker is not None and not checker(t):
-                continue
+        for t in tables:
             if t in seen:
                 continue
             members, size = self.conjugacy_class_tables(t, class_cap=1 << 62)
@@ -348,6 +368,18 @@ class PermutationGroup:
         """Predicate: element has order exactly k (k >= 1)."""
         n = self.degree
         ident = self._ident
+        if is_prime(k):
+            # order exactly k iff t^k == 1 and t != 1: k - 1 compositions
+            compose = bytes.translate if type(ident) is bytes else mul
+            steps = range(k - 1)
+
+            def check_prime(t) -> bool:
+                s = t
+                for _ in steps:
+                    s = compose(s, t)
+                return s == ident and t != ident
+
+            return check_prime
         maximal = [k // p for p in factorize(k).primes]
 
         def check(t) -> bool:
@@ -370,22 +402,29 @@ class PermutationGroup:
 
     # -- element family caches ----------------------------------------------------
 
-    def p_element_tables(self, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> tuple:
-        """All nonidentity elements of p-power order, deterministic order, cached."""
+    def p_element_tables(self, p: int, cap: int = DEFAULT_ENUMERATION_CAP) -> _FilledStream:
+        """All nonidentity elements of p-power order, deterministic order, cached.
+
+        The elements are found on demand: a search that stops at an early
+        element enumerates only the group prefix it needed. The cap is checked
+        here, at call time, so a stream is cached only when its source can
+        run to the end.
+        """
         cached = self._pelement_cache.get(p)
         if cached is not None:
             return cached
         pe = p_part(self.order, p)
-        n = self.degree
-        ident = self._ident
-        out = []
+        source = iter(())
         if pe > 1:
-            for t in self.tables(cap):
-                if t is not ident and t != ident and pow_table(t, pe, n) == ident:
-                    out.append(t)
-        result = tuple(out)
-        self._pelement_cache[p] = result
-        return result
+            self._check_cap(cap)
+            n = self.degree
+            ident = self._ident
+            source = (
+                t for t in self.tables(cap)
+                if t != ident and pow_table(t, pe, n) == ident
+            )
+        stream = self._pelement_cache[p] = _FilledStream(source)
+        return stream
 
     def element_order(self, t) -> int:
         return table_order(t, self.degree)
@@ -393,6 +432,42 @@ class PermutationGroup:
     def __repr__(self) -> str:
         label = self.name or "PermutationGroup"
         return f"<{label} degree={self.degree} order={self.order}>"
+
+
+class _FilledStream:
+    """Iterable over a list that fills on demand from one source iterator.
+
+    Any number of iterations may be in flight at once: each replays the
+    filled prefix, then pulls the next item from the shared source and
+    appends it for the others. Once the source is exhausted, iteration is a
+    plain list iterator.
+    """
+
+    __slots__ = ("_items", "_source")
+
+    def __init__(self, source):
+        self._items: list = []
+        self._source = source
+
+    def __iter__(self):
+        if self._source is None:
+            return iter(self._items)
+        return self._replay()
+
+    def _replay(self):
+        items = self._items
+        i = 0
+        while True:
+            while i < len(items):
+                yield items[i]
+                i += 1
+            if self._source is None:
+                return
+            try:
+                items.append(next(self._source))
+            except StopIteration:
+                self._source = None
+                return
 
 
 class ConjugacyClass:

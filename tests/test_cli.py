@@ -11,6 +11,7 @@ import pytest
 
 from radlab import cli
 from radlab.catalog import data_dir, symmetric, save_group_file
+from radlab.structure import solvable_radical
 from radlab.verify import STATUS_COUNTEREXAMPLE, STATUS_VERIFIED, VerificationReport
 
 
@@ -38,6 +39,39 @@ def test_order_malformed_file(tmp_path, capsys):
     p.write_text("{ not json")
     code, _, err = run(["order", str(p)], capsys)
     assert code == 2 and err
+
+
+@pytest.mark.parametrize("data, field", [
+    ({"degree": 5}, "generators"),
+    ({"generators": ["(1 2)"]}, "degree"),
+    ({"degree": "5", "generators": ["(1 2)"]}, "degree"),
+    ({"degree": 0, "generators": []}, "degree"),
+    ({"degree": True, "generators": []}, "degree"),
+    ({"degree": 5, "generators": "(1 2)"}, "generators"),
+    ({"degree": 5, "generators": ["(1 2)", 3]}, "generators"),
+    ({"degree": 5, "generators": ["(1 9)"]}, "generators"),
+    ({"degree": 5, "generators": ["(1 2)"], "socle_generators": [1]}, "socle_generators"),
+    ({"degree": 5, "generators": ["(1 2)"], "socle_generators": [-1]}, "socle_generators"),
+    ({"degree": 5, "generators": ["(1 2)"], "socle_generators": 0}, "socle_generators"),
+])
+def test_order_group_file_schema(tmp_path, capsys, data, field):
+    p = tmp_path / "bad.json"
+    p.write_text(json.dumps(data))
+    code, out, err = run(["order", str(p)], capsys)
+    assert code == 2 and not out
+    assert str(p) in err and repr(field) in err
+    assert "Traceback" not in err
+
+
+def test_group_file_schema_error_process_exit(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"degree": 5}')
+    proc = subprocess.run(
+        [sys.executable, "-m", "radlab", "order", str(p)],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert "'generators'" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_order_unknown_name(capsys):
@@ -68,6 +102,27 @@ def test_radical_criterion_with_report(tmp_path, capsys):
     d = json.loads(f.read_text())
     assert d["method"] == "combined" and d["group"] == "A5"
     assert len(d["checks"]) == 5
+
+
+# every --method that radical accepts; two-element/two are refused below
+RADICAL_METHODS = ("oracle", "b1", "oddp", "odd-p", "combined")
+
+
+def test_radical_methods_match_oracle(corpus, capsys):
+    for name, g in corpus.items():
+        expect = f"radical order {solvable_radical(g).order} "
+        for method in RADICAL_METHODS:
+            code, out, _ = run(["radical", name, "--method", method], capsys)
+            assert code == 0 and expect in out, (name, method, out)
+
+
+def test_radical_refuses_two_element(capsys):
+    # the criterion decides only x of odd prime-power order, so the 2-elements
+    # of R(S3 x A5) = S3 would never enter the normal closure
+    for method in ("two-element", "two"):
+        code, out, err = run(["radical", "S3xA5", "--method", method], capsys)
+        assert code == 2 and not out
+        assert len(err.strip().splitlines()) == 1 and "odd prime-power" in err
 
 
 def test_member_positive(capsys):

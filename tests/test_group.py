@@ -12,7 +12,7 @@ import pytest
 from radlab import catalog
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
 from radlab.group import PermutationGroup, canonical, group_from_cycles, pair_group
-from radlab.perm import Perm
+from radlab.perm import Perm, mul, table_order
 
 
 def brute_closure(degree, gens, limit=50_000):
@@ -258,3 +258,112 @@ def test_tables_enumeration_is_deterministic():
     second = [bytes(t) for t in g.tables()]
     assert first == second
     assert len(first) == 60
+
+
+def reference_tables(g):
+    """Plain odometer over every chain level, one product per element: the
+    enumeration order tables() must keep."""
+    levels = g._levels
+    if not levels:
+        yield g._ident
+        return
+    k = len(levels)
+    us = [[pair[0] for pair in lvl.orbit.values()] for lvl in levels]
+    sizes = [len(u) for u in us]
+    idx = [0] * k
+    partial = [g._ident] * (k + 1)
+    i = 0
+    while True:
+        while i < k:
+            u = us[i][idx[i]]
+            partial[i + 1] = mul(u, partial[i]) if idx[i] else partial[i]
+            i += 1
+        yield partial[k]
+        i = k - 1
+        while i >= 0:
+            idx[i] += 1
+            if idx[i] < sizes[i]:
+                break
+            idx[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+def test_tables_match_reference_order(corpus):
+    psl28 = catalog.cvl_realization("PSL2_8")
+    # degree above 256: tuple tables, four chain levels
+    wide = G(300, "(1 2 3 4 5 6)", "(1 2)", "(290 291 292)")
+    groups = dict(corpus, PSL2_8_aut=psl28.group, PSL2_8_socle=psl28.socle, wide=wide)
+    assert type(wide._ident) is tuple
+    for name, g in groups.items():
+        assert list(g.tables()) == list(reference_tables(g)), name
+    assert len(list(wide.tables())) == 2160
+
+
+def test_order_checker_matches_table_order():
+    for g in (catalog.symmetric(6), catalog.build_named("PGL2_7")):
+        n = g.degree
+        elements = list(g.tables())
+        for k in range(1, 9):
+            check = g._order_checker(k)
+            expect = [t for t in elements if table_order(t, n) == k]
+            assert [t for t in elements if check(t)] == expect, (g, k)
+
+
+def brute_p_elements(g, p):
+    n = g.degree
+    out = []
+    for t in g.tables():
+        o = table_order(t, n)
+        while o % p == 0:
+            o //= p
+        if o == 1 and t != g._ident:
+            out.append(t)
+    return out
+
+
+def test_p_element_stream_interleaved_iterations():
+    g = catalog.build_named("PGL2_7")
+    expect = brute_p_elements(g, 2)
+    stream = g.p_element_tables(2)
+    first = iter(stream)
+    head = [next(first) for _ in range(3)]
+    second = iter(stream)
+    head2 = [next(second) for _ in range(7)]
+    assert head == expect[:3] and head2 == expect[:7]
+    assert head + list(first) == expect
+    assert head2 + list(second) == expect
+    # once the source is exhausted, iteration is over the filled list
+    assert type(iter(stream)) is type(iter([]))
+    assert g.p_element_tables(2) is stream
+
+
+def test_p_element_stream_full_after_partial():
+    g = catalog.symmetric(5)
+    expect = brute_p_elements(g, 3)
+    stream = g.p_element_tables(3)
+    partial = iter(stream)
+    assert [next(partial), next(partial)] == expect[:2]
+    assert list(stream) == expect
+    assert list(partial) == expect[2:]
+    assert list(g.p_element_tables(5)) == brute_p_elements(g, 5)
+
+
+def test_p_element_stream_fresh_after_adopt():
+    g = G(5, "(1 2 3)")
+    stream = g.p_element_tables(3)
+    assert next(iter(stream)) in brute_p_elements(g, 3)
+    assert g._adopt(Perm.from_cycles("(3 4 5)", 5).t)
+    grown = g.p_element_tables(3)
+    assert grown is not stream
+    assert list(grown) == brute_p_elements(g, 3)
+    assert len(list(grown)) == 20
+
+
+def test_p_element_stream_cap_does_not_poison_cache():
+    g = G(4, "(1 2)", "(1 2 3 4)")
+    with pytest.raises(CapExceededError):
+        g.p_element_tables(2, cap=10)
+    assert list(g.p_element_tables(2, cap=100)) == brute_p_elements(g, 2)
+    assert len(brute_p_elements(g, 2)) == 15
