@@ -16,8 +16,11 @@ solvable (x' is x or the primary component that failed), re-checkable from
 its fields alone.
 
 All loops are deterministic. Exhaustive phases skip y when an earlier tested
-y' already covers it: y covered means y = x^-j y'^k x^j with k coprime to
-o(y'), which makes <x, y> and <x, y'> conjugate, hence equisolvable. A cheap
+y' already covers it: once H = <x, y'> is found solvable, every element of H
+is covered, because y in H gives <x, y> <= H, and a subgroup of a solvable
+group is solvable. Only solvable pairs are ever skipped, so the first
+nonsolvable y in enumeration order is tested and found as without the skip.
+H is enumerated under the scan's cap; a larger H covers nothing. A cheap
 deterministic probe (built from strong generators) runs before exhaustive
 member_* loops to find witnesses early; find_witness keeps the strict
 primes-ascending, enumeration-order, first-hit contract and no probe.
@@ -25,12 +28,11 @@ primes-ascending, enumeration-order, first-hit contract and no probe.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .arith import factorize
 from .errors import CapExceededError, MembershipError, PreconditionError
-from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup, pair_group
+from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, inv, is_ident, mul, pow_table, table_order
 from .structure import derived_subgroup, primary_decomposition, two_part_split
 
@@ -72,26 +74,26 @@ class MembershipVerdict:
     pairs_tested: int
 
 
-def _pair_solvable(degree: int, a, b) -> tuple[bool, int, int]:
-    """(solvable, subgroup_order, derived_steps) for <a, b>.
+def _pair_solvable(degree: int, a, b) -> tuple[bool, int, int, PermutationGroup]:
+    """(solvable, subgroup_order, derived_steps, pair_subgroup) for <a, b>.
 
     Solvable exits may use sufficient conditions (cyclic generation, at most
     two distinct prime divisors of a term's order); a nonsolvable exit always
     comes from an honestly stabilized descent, so derived_steps is exact.
     """
-    pg = pair_group(degree, a, b)
+    pg = PermutationGroup(degree, [Perm(degree, a), Perm(degree, b)])
     order = pg.order
     if len(pg.gens) <= 1:
-        return True, order, 0
+        return True, order, 0, pg
     h = pg
     steps = 0
     while True:
         o = h.order
         if o == 1 or len(factorize(o)) <= 2:
-            return True, order, steps
+            return True, order, steps, pg
         d = derived_subgroup(h)
         if d.order == o:
-            return False, order, steps
+            return False, order, steps, pg
         h = d
         steps += 1
 
@@ -158,24 +160,15 @@ def _probe_tables(g: PermutationGroup, xt, prime_kind) -> list:
     return out
 
 
-def _coverage(xt, x_order: int, yt, n: int) -> set:
-    """{x^-j y^k x^j : gcd(k, o(y)) = 1, 0 <= j < o(x)} as raw tables."""
-    o = table_order(yt, n)
-    gens_of_cyclic = []
-    power = yt
-    for k in range(1, o + 1):
-        if math.gcd(k, o) == 1:
-            gens_of_cyclic.append(power)
-        if k < o:
-            power = mul(power, yt)
-    out = set()
-    xinv = inv(xt, n)
-    for z in gens_of_cyclic:
-        cur = z
-        for _ in range(max(1, x_order)):
-            out.add(cur)
-            cur = mul(mul(xinv, cur), xt)
-    return out
+def _coverage(h: PermutationGroup, cap: int) -> list:
+    """Raw tables of every element of a solvable pair subgroup h = <x, y>.
+
+    Any y' in h has <x, y'> <= h, so it needs no test of its own. Above the
+    scan's cap h covers nothing: the skip is only an optimisation.
+    """
+    if h.order > cap:
+        return []
+    return list(h.tables(cap))
 
 
 def _require_member(g: PermutationGroup, x: Perm) -> None:
@@ -199,11 +192,10 @@ def member_b1(
     tested = 0
     for yt in _probe_tables(g, xt, None):
         tested += 1
-        solvable, order, steps = _pair_solvable(n, xt, yt)
+        solvable, order, steps, _h = _pair_solvable(n, xt, yt)
         if not solvable:
             w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
             return MembershipVerdict(x, METHOD_B1, False, w, tested)
-    x_order = x.order()
     covered: set = set()
     for yt in g.tables(cap):
         if is_ident(yt) or yt in covered:
@@ -211,11 +203,11 @@ def member_b1(
         tested += 1
         if tested > pair_cap:
             raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
-        solvable, order, steps = _pair_solvable(n, xt, yt)
+        solvable, order, steps, h = _pair_solvable(n, xt, yt)
         if not solvable:
             w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
             return MembershipVerdict(x, METHOD_B1, False, w, tested)
-        covered |= _coverage(xt, x_order, yt, n)
+        covered.update(_coverage(h, cap))
     return MembershipVerdict(x, METHOD_B1, True, None, tested)
 
 
@@ -241,10 +233,9 @@ def _check_against_p_elements(
             elif yp is None or yp == 2:
                 continue
             tested += 1
-            solvable, order, steps = _pair_solvable(n, checked, yt)
+            solvable, order, steps, _h = _pair_solvable(n, checked, yt)
             if not solvable:
                 return Witness(checked_perm, Perm(n, yt), yp, order, steps), tested
-    x_order = table_order(checked, n)
     covered: set = set()
     for yt in g.p_element_tables(p, cap):
         if yt in covered:
@@ -252,10 +243,10 @@ def _check_against_p_elements(
         tested += 1
         if tested > pair_cap:
             raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
-        solvable, order, steps = _pair_solvable(n, checked, yt)
+        solvable, order, steps, h = _pair_solvable(n, checked, yt)
         if not solvable:
             return Witness(checked_perm, Perm(n, yt), p, order, steps), tested
-        covered |= _coverage(checked, x_order, yt, n)
+        covered.update(_coverage(h, cap))
     return None, tested
 
 
@@ -363,7 +354,6 @@ def find_witness(
         raise PreconditionError(f"unknown witness constraint {constraint!r}")
     n = g.degree
     xt = x.t
-    x_order = x.order()
     tested = 0
     for p in primes:
         covered: set = set()
@@ -375,10 +365,10 @@ def find_witness(
                 raise CapExceededError(
                     f"pair cap {pair_cap} exhausted before the search finished"
                 )
-            solvable, order, steps = _pair_solvable(n, xt, yt)
+            solvable, order, steps, h = _pair_solvable(n, xt, yt)
             if not solvable:
                 return Witness(x, Perm(n, yt), p, order, steps)
-            covered |= _coverage(xt, x_order, yt, n)
+            covered.update(_coverage(h, cap))
     return None
 
 
@@ -392,7 +382,7 @@ def witness_is_valid(
     the stated prime, and the parts lie where claimed."""
     if w.x.degree != w.y.degree:
         return False
-    solvable, order, steps = _pair_solvable(w.x.degree, w.x.t, w.y.t)
+    solvable, order, steps, _h = _pair_solvable(w.x.degree, w.x.t, w.y.t)
     if solvable or order != w.subgroup_order or steps != w.derived_steps:
         return False
     if w.prime is not None:

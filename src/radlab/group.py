@@ -20,7 +20,6 @@ from .errors import (
 )
 from .perm import (
     Perm,
-    format_cycles,
     ident_table,
     inv,
     is_ident,
@@ -62,6 +61,9 @@ class PermutationGroup:
         self.degree = degree
         self.name = name
         self._ident = ident_table(degree)
+        # composition bound once for the hot loops (chain build, enumeration,
+        # closures): bytes.translate on byte tables skips mul's type dispatch
+        self._mul = bytes.translate if type(self._ident) is bytes else mul
         # input generators, identity dropped, order preserved, duplicates kept out
         tables = []
         for g in generators:
@@ -81,6 +83,7 @@ class PermutationGroup:
         """Reduce t through levels from `start`; return (residue, stop_level)."""
         i = start
         levels = self._levels
+        compose = self._mul
         while i < len(levels):
             lvl = levels[i]
             p = t[lvl.base]
@@ -88,14 +91,14 @@ class PermutationGroup:
                 pair = lvl.orbit.get(p)
                 if pair is None:
                     return t, i
-                t = mul(t, pair[1])
+                t = compose(t, pair[1])
             i += 1
         return t, i
 
     def _add_generator(self, t) -> bool:
         """Grow the chain by one table if it is not already a member."""
         res, i = self._sift(t)
-        if is_ident(res):
+        if res == self._ident:
             return False
         self._insert_strong(0, i, res)
         self._order = None
@@ -137,19 +140,22 @@ class PermutationGroup:
         lvl = self._levels[i]
         self._rebuild_orbit(lvl)
         orbit = lvl.orbit
+        compose = self._mul
+        ident = self._ident
         for p, (u, _uinv) in orbit.items():
             for s in lvl.gens:
                 q = s[p]
-                us = mul(u, s)
-                schreier = mul(us, orbit[q][1])
-                if is_ident(schreier):
+                schreier = compose(compose(u, s), orbit[q][1])
+                if schreier == ident:
                     continue
                 res, j = self._sift(schreier, i + 1)
-                if not is_ident(res):
+                if res != ident:
                     self._insert_strong(i + 1, j, res)
 
     def _rebuild_orbit(self, lvl: _Level) -> None:
         ident = self._ident
+        compose = self._mul
+        n = self.degree
         orbit = {lvl.base: (ident, ident)}
         queue = [lvl.base]
         qi = 0
@@ -160,8 +166,8 @@ class PermutationGroup:
             for s in lvl.gens:
                 q = s[p]
                 if q not in orbit:
-                    uq = mul(u, s)
-                    orbit[q] = (uq, inv(uq, self.degree))
+                    uq = compose(u, s)
+                    orbit[q] = (uq, inv(uq, n))
                     queue.append(q)
         lvl.orbit = orbit
 
@@ -186,7 +192,7 @@ class PermutationGroup:
 
     def contains_table(self, t) -> bool:
         res, _ = self._sift(t)
-        return is_ident(res)
+        return res == self._ident
 
     def contains(self, p: Perm) -> bool:
         if p.degree != self.degree:
@@ -235,26 +241,23 @@ class PermutationGroup:
         if not levels:
             yield self._ident
             return
+        compose = self._mul
         us = [[pair[0] for pair in lvl.orbit.values()] for lvl in levels]
         tail = us.pop()
         while us and len(us[-1]) * len(tail) <= TAIL_LIMIT:
-            tail = [mul(t, u) for u in us.pop() for t in tail]
+            tail = [compose(t, u) for u in us.pop() for t in tail]
         k = len(us)
         sizes = [len(u) for u in us]
         idx = [0] * k
         partial = [self._ident] * (k + 1)
-        byte_tables = type(self._ident) is bytes
         i = 0
         while True:
             while i < k:
                 u = us[i][idx[i]]
-                partial[i + 1] = mul(u, partial[i]) if idx[i] else partial[i]
+                partial[i + 1] = compose(u, partial[i]) if idx[i] else partial[i]
                 i += 1
             top = partial[k]
-            if byte_tables:
-                yield from [t.translate(top) for t in tail]
-            else:
-                yield from [mul(t, top) for t in tail]
+            yield from [compose(t, top) for t in tail]
             i = k - 1
             while i >= 0:
                 idx[i] += 1
@@ -304,12 +307,13 @@ class PermutationGroup:
         for t in seed_tables:
             if not is_ident(t) and n._adopt(t):
                 queue.append(t)
+        compose = self._mul
         qi = 0
         while qi < len(queue):
             y = queue[qi]
             qi += 1
             for g, ginv in zip(self.gens, self.gen_invs):
-                z = mul(mul(ginv, y), g)
+                z = compose(compose(ginv, y), g)
                 if not n.contains_table(z):
                     n._adopt(z)
                     queue.append(z)
@@ -317,6 +321,7 @@ class PermutationGroup:
 
     def conjugacy_class_tables(self, t, class_cap: int = DEFAULT_CLASS_CAP):
         """(members_in_BFS_order, size). Members list is None above the cap."""
+        compose = self._mul
         seen = {t}
         queue = [t]
         qi = 0
@@ -324,7 +329,7 @@ class PermutationGroup:
             y = queue[qi]
             qi += 1
             for g, ginv in zip(self.gens, self.gen_invs):
-                z = mul(mul(ginv, y), g)
+                z = compose(compose(ginv, y), g)
                 if z not in seen:
                     seen.add(z)
                     queue.append(z)
@@ -370,7 +375,7 @@ class PermutationGroup:
         ident = self._ident
         if is_prime(k):
             # order exactly k iff t^k == 1 and t != 1: k - 1 compositions
-            compose = bytes.translate if type(ident) is bytes else mul
+            compose = self._mul
             steps = range(k - 1)
 
             def check_prime(t) -> bool:
@@ -487,28 +492,3 @@ class ConjugacyClass:
 def group_from_cycles(degree: int, cycle_strings: list[str], name: str | None = None) -> PermutationGroup:
     gens = [Perm.from_cycles(s, degree) for s in cycle_strings]
     return PermutationGroup(degree, gens, name=name)
-
-
-def pair_group(degree: int, a, b) -> PermutationGroup:
-    """Group generated by two raw tables; used heavily by the criteria loops."""
-    g = PermutationGroup.__new__(PermutationGroup)
-    g.degree = degree
-    g.name = None
-    g._ident = ident_table(degree)
-    tables = []
-    for t in (a, b):
-        if not is_ident(t) and t not in tables:
-            tables.append(t)
-    g.gens = tables
-    g.gen_invs = [inv(t, degree) for t in tables]
-    g._levels = []
-    g._order = None
-    g._pelement_cache = {}
-    for t in tables:
-        g._add_generator(t)
-    g._order = None
-    return g
-
-
-def canonical(t, n: int) -> str:
-    return format_cycles(t, n)

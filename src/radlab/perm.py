@@ -46,10 +46,9 @@ def mul(a, b):
 def inv(t, n: int):
     """Inverse table."""
     if type(t) is bytes:
-        r = bytearray(IDENT256)
-        for i in range(n):
-            r[t[i]] = i
-        return bytes(r)
+        # a byte table is a full permutation of 0..255, so mapping its images
+        # back to their positions is exactly the inverse
+        return bytes.maketrans(t, IDENT256)
     r = [0] * n
     for i in range(n):
         r[t[i]] = i

@@ -4,17 +4,23 @@ The reference point throughout is the normal-closure radical oracle; the
 criteria must reproduce its verdicts exactly. Witness objects are treated as
 certificates: every one emitted here is re-validated from scratch, and the
 find_witness first-hit contract is checked against a coverage-free rescan.
+The subgroup-coverage skip is checked against a reference scan that keeps
+the older, smaller skip set of <x>-conjugates of generators of tested <y>.
 """
 
+import math
 import random
 
 import pytest
 
 from radlab import catalog
+from radlab.arith import factorize
 from radlab.criteria import (
     CONSTRAINT_ANY,
     CONSTRAINT_ODD_P,
     CONSTRAINT_TWO_ELEMENT,
+    Witness,
+    _probe_tables,
     find_witness,
     member_b1,
     member_combined,
@@ -23,11 +29,12 @@ from radlab.criteria import (
     witness_is_valid,
 )
 from radlab.errors import CapExceededError, MembershipError, PreconditionError
-from radlab.group import pair_group
+from radlab.group import PermutationGroup
 from radlab.perm import Perm
 from radlab.structure import (
     is_solvable,
     primary_decomposition,
+    solvability_certificate,
     solvable_radical,
     two_part_split,
 )
@@ -192,7 +199,7 @@ def test_find_witness_constraints(corpus):
     assert w.prime in (3, 5) and w.y.order() % 2 == 1
     w = find_witness(a5, Perm.from_cycles("(1 2 3)", 5), CONSTRAINT_TWO_ELEMENT)
     assert w.prime == 2 and w.y.order() == 2
-    assert not is_solvable(pair_group(5, w.x.t, w.y.t))
+    assert not is_solvable(PermutationGroup(5, [w.x, w.y]))
     assert w.subgroup_order == 60  # the only nonsolvable subgroup of A5
 
 
@@ -216,7 +223,7 @@ def test_find_witness_first_hit_contract(corpus):
         found = None
         for p in primes:
             for yt in a5.p_element_tables(p):
-                if not is_solvable(pair_group(5, x.t, yt)):
+                if not is_solvable(PermutationGroup(5, [x, Perm(5, yt)])):
                     found = (p, Perm(5, yt))
                     break
             if found:
@@ -297,7 +304,148 @@ def test_monotonicity_of_component_pairs(small_corpus):
             w = find_witness(g, odd, CONSTRAINT_ANY)
             if w is None:
                 continue
-            big = pair_group(g.degree, odd.t, w.y.t)
+            big = PermutationGroup(g.degree, [odd, w.y])
             for p, comp in primary_decomposition(odd).components:
                 assert big.contains_table(comp.t), (name, x.cycles(), p)
             assert big.contains(w.y)
+
+
+# -- subgroup coverage ---------------------------------------------------------
+
+CONSTRAINTS = (CONSTRAINT_ANY, CONSTRAINT_ODD_P, CONSTRAINT_TWO_ELEMENT)
+
+
+def coverage_groups(corpus):
+    return {n: g for n, g in corpus.items() if g.order <= 2520}
+
+
+def rescan_witness(g, x, constraint):
+    """First y with <x, y> not solvable, testing every p-element: primes
+    ascending, then enumeration order; no skip of any kind."""
+    primes = factorize(g.order).primes
+    if constraint == CONSTRAINT_ODD_P:
+        primes = [p for p in primes if p != 2]
+    elif constraint == CONSTRAINT_TWO_ELEMENT:
+        primes = [p for p in primes if p == 2]
+    n = g.degree
+    for p in primes:
+        for yt in g.p_element_tables(p):
+            y = Perm(n, yt)
+            h = PermutationGroup(n, [x, y])
+            if not is_solvable(h):
+                solvable, steps = solvability_certificate(h)
+                assert not solvable
+                return Witness(x, y, p, h.order, steps)
+    return None
+
+
+def test_find_witness_matches_coverage_free_rescan(corpus):
+    for name, g in coverage_groups(corpus).items():
+        for cls in g.class_representatives():
+            x = cls.representative
+            for constraint in CONSTRAINTS:
+                expect = rescan_witness(g, x, constraint)
+                assert find_witness(g, x, constraint) == expect, (name, x.cycles(), constraint)
+
+
+def conjugate_coverage(xt, yt, n):
+    """{x^-j y^k x^j : gcd(k, o(y)) = 1}, the skip set before subgroup coverage."""
+    x, y = Perm(n, xt), Perm(n, yt)
+    o = y.order()
+    xinv = x.inverse()
+    out = set()
+    for k in range(1, o + 1):
+        if math.gcd(k, o) == 1:
+            z = y**k
+            for _ in range(x.order()):
+                out.add(z.t)
+                z = xinv * z * x
+    return out
+
+
+class ReferenceScan:
+    """The member_* loops with the conjugate skip set: (member, pairs tested)."""
+
+    def __init__(self, g):
+        self.g = g
+        self.n = g.degree
+        self.tested = 0
+
+    def solvable(self, xt, yt):
+        self.tested += 1
+        return is_solvable(PermutationGroup(self.n, [Perm(self.n, xt), Perm(self.n, yt)]))
+
+    def exhaust(self, xt, ys):
+        covered = set()
+        for yt in ys:
+            if yt in covered:
+                continue
+            if not self.solvable(xt, yt):
+                return False
+            covered |= conjugate_coverage(xt, yt, self.n)
+        return True
+
+    def against(self, xt, p):
+        n = self.n
+        for yt in _probe_tables(self.g, xt, "odd" if p != 2 else 2):
+            f = factorize(Perm(n, yt).order()).primes
+            if len(f) == 1 and (f[0] == 2) == (p == 2) and not self.solvable(xt, yt):
+                return False
+        return self.exhaust(xt, self.g.p_element_tables(p))
+
+    def b1(self, x):
+        if x.is_identity():
+            return True
+        for yt in _probe_tables(self.g, x.t, None):
+            if not self.solvable(x.t, yt):
+                return False
+        ident = self.g._ident
+        return self.exhaust(x.t, (t for t in self.g.tables() if t != ident))
+
+    def oddp(self, x):
+        if x.is_identity():
+            return True
+        odd = [p for p in factorize(self.g.order).primes if p != 2]
+        return all(self.against(x.t, p) for p in odd)
+
+    def two_element(self, x):
+        return self.against(x.t, 2)
+
+    def combined(self, x):
+        split = two_part_split(x)
+        if not split.two_part.is_identity() and not self.oddp(split.two_part):
+            return False
+        comps = primary_decomposition(split.odd_part).components
+        return all(self.against(c.t, 2) for _p, c in comps)
+
+
+def test_subgroup_coverage_tests_no_more_pairs(corpus):
+    ours = reference = 0
+    for name, g in coverage_groups(corpus).items():
+        for cls in g.class_representatives():
+            x = cls.representative
+            f = factorize(x.order()).pairs
+            odd_primary = len(f) == 1 and f[0][0] != 2
+            methods = [(member_b1, "b1"), (member_oddp, "oddp"), (member_combined, "combined")]
+            if odd_primary:
+                methods.append((member_two_element, "two_element"))
+            for fn, ref_name in methods:
+                ref = ReferenceScan(g)
+                member = getattr(ref, ref_name)(x)
+                v = fn(g, x)
+                assert v.member == member, (name, x.cycles(), ref_name)
+                assert v.pairs_tested <= ref.tested, (name, x.cycles(), ref_name)
+                ours += v.pairs_tested
+                reference += ref.tested
+    assert ours < reference
+
+
+def test_find_witness_coverage_above_cap_is_skipped():
+    # the domain fits the cap, but each pair subgroup (S4 or D4) does not:
+    # coverage adds nothing and the scan completes
+    s4 = catalog.symmetric(4)
+    x = Perm.from_cycles("(1 2 3 4)", 4)
+    domain = PermutationGroup(4, [Perm.from_cycles("(1 2)", 4), Perm.from_cycles("(3 4)", 4)])
+    assert domain.order == 4
+    assert find_witness(s4, x, CONSTRAINT_TWO_ELEMENT, cap=4, domain=domain) is None
+    assert find_witness(s4, x, CONSTRAINT_ANY, cap=4, domain=domain) is None
