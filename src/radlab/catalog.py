@@ -466,6 +466,9 @@ CVL_LISTS = {
         "CVL1", 3, "odd-p",
         tuple(_entry(n) for n in ("G2_3", "PSL3_3", "PSp4_3", "PSU3_3")),
     ),
+    # CVL2 lists one group twice: 2D4_3 and PO8m_3 are both POmega8-(3)
+    # (2D4(q) is POmega8-(q)). Both names stay as transcribed until the
+    # entry is checked against the source list.
     "CVL2": CvlList(
         "CVL2", 2, "odd-p",
         tuple(_entry(n) for n in (

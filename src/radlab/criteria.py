@@ -22,8 +22,22 @@ group is solvable. Only solvable pairs are ever skipped, so the first
 nonsolvable y in enumeration order is tested and found as without the skip.
 H is enumerated under the scan's cap; a larger H covers nothing. A cheap
 deterministic probe (built from strong generators) runs before exhaustive
-member_* loops to find witnesses early; find_witness keeps the strict
+member_* loops to find witnesses early: once per checked element, because
+its candidates (2-elements, or elements of any odd prime-power order) do not
+depend on the prime being scanned. find_witness keeps the strict
 primes-ascending, enumeration-order, first-hit contract and no probe.
+
+Scan outcomes are memoized on the group whose p-elements are scanned (the
+domain, for find_witness), in PermutationGroup._scan_cache. A probe is keyed
+by (checked table, kind) and one prime's exhaustive loop by (checked table,
+p, cap): its outcome depends on nothing else, because the cap decides which
+pair subgroups may be enumerated for coverage. An entry holds the pairs the
+scan tested and its first nonsolvable y with the prime, subgroup order and
+derived steps, or no hit. Only finished loops are stored, and the memo is
+cleared with the p-element cache whenever the group grows. A hit replays the
+stored pair count, so pairs_tested, the witness and the pair-cap error are
+those of a fresh scan whatever was asked before: the cap fires when the loop
+counted any pair and the running count exceeds it.
 """
 
 from __future__ import annotations
@@ -211,43 +225,98 @@ def member_b1(
     return MembershipVerdict(x, METHOD_B1, True, None, tested)
 
 
+def _witness(x: Perm, n: int, hit) -> Witness:
+    yt, prime, order, steps = hit
+    return Witness(x, Perm(n, yt), prime, order, steps)
+
+
+def _probe(g: PermutationGroup, checked, kind) -> tuple[int, tuple | None]:
+    """Memoized probe of checked against the candidates of one kind ("odd"
+    or 2): (pairs tested, hit), hit = (y, prime, order, steps) of the first
+    nonsolvable pair or None. Every candidate is already a p-element of the
+    kind, and none of them depends on p or on the enumeration cap."""
+    key = (checked, kind)
+    out = g._scan_cache.get(key)
+    if out is None:
+        n = g.degree
+        tested = 0
+        hit = None
+        for yt in _probe_tables(g, checked, kind):
+            tested += 1
+            solvable, order, steps, _h = _pair_solvable(n, checked, yt)
+            if not solvable:
+                hit = (yt, _prime_of_order(table_order(yt, n)), order, steps)
+                break
+        out = g._scan_cache[key] = (tested, hit)
+    return out
+
+
+def _exhaust(g: PermutationGroup, checked, primes, cap: int, budget: int):
+    """Exhaustive scan of <checked, y> over the p-elements y of g, primes in
+    the given order, enumeration order within a prime.
+
+    Returns (pairs tested, hit) as _probe does, or None when the scan would
+    test more than budget pairs. Each prime's outcome is memoized on g under
+    (checked, p, cap) once its loop has finished; a memoized prime counts its
+    pairs again and is refused exactly where a fresh loop would stop.
+    """
+    memo = g._scan_cache
+    n = g.degree
+    tested = 0
+    for p in primes:
+        left = budget - tested
+        key = (checked, p, cap)
+        out = memo.get(key)
+        if out is None:
+            count = 0
+            hit = None
+            covered: set = set()
+            for yt in g.p_element_tables(p, cap):
+                if yt in covered:
+                    continue
+                count += 1
+                if count > left:
+                    return None
+                solvable, order, steps, h = _pair_solvable(n, checked, yt)
+                if not solvable:
+                    hit = (yt, p, order, steps)
+                    break
+                covered.update(_coverage(h, cap))
+            out = memo[key] = (count, hit)
+        elif out[0] and out[0] > left:
+            # a fresh loop checks the budget only after counting a pair
+            return None
+        tested += out[0]
+        if out[1] is not None:
+            return tested, out[1]
+    return tested, None
+
+
 def _check_against_p_elements(
     g: PermutationGroup,
     checked,
     checked_perm: Perm,
-    p: int,
+    primes: list[int],
     pair_cap: int,
     cap: int,
     tested: int,
-    probe: bool,
 ) -> tuple[Witness | None, int]:
-    """Run <checked, y> over the p-elements of g; first witness or None."""
-    n = g.degree
-    if probe:
-        kind = "odd" if p != 2 else 2
-        for yt in _probe_tables(g, checked, kind):
-            yp = _prime_of_order(table_order(yt, n))
-            if p == 2:
-                if yp != 2:
-                    continue
-            elif yp is None or yp == 2:
-                continue
-            tested += 1
-            solvable, order, steps, _h = _pair_solvable(n, checked, yt)
-            if not solvable:
-                return Witness(checked_perm, Perm(n, yt), yp, order, steps), tested
-    covered: set = set()
-    for yt in g.p_element_tables(p, cap):
-        if yt in covered:
-            continue
-        tested += 1
-        if tested > pair_cap:
+    """Run <checked, y> over the p-elements of g, p in primes ([2], or the
+    odd primes of |G| ascending): the probe once, then the exhaustive scan.
+    Returns the first witness or None, and the running pair count."""
+    count, hit = _probe(g, checked, 2 if primes == [2] else "odd")
+    tested += count
+    if hit is None:
+        out = _exhaust(g, checked, primes, cap, pair_cap - tested)
+        if out is None:
             raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
-        solvable, order, steps, h = _pair_solvable(n, checked, yt)
-        if not solvable:
-            return Witness(checked_perm, Perm(n, yt), p, order, steps), tested
-        covered.update(_coverage(h, cap))
-    return None, tested
+        count, hit = out
+        tested += count
+    return (None if hit is None else _witness(checked_perm, g.degree, hit)), tested
+
+
+def _odd_primes(g: PermutationGroup) -> list[int]:
+    return [p for p in factorize(g.order).primes if p != 2]
 
 
 def member_oddp(
@@ -261,14 +330,8 @@ def member_oddp(
     xt = x.t
     if is_ident(xt):
         return MembershipVerdict(x, METHOD_ODD_P, True, None, 0)
-    tested = 0
-    for p in factorize(g.order).primes:
-        if p == 2:
-            continue
-        w, tested = _check_against_p_elements(g, xt, x, p, pair_cap, cap, tested, probe=True)
-        if w is not None:
-            return MembershipVerdict(x, METHOD_ODD_P, False, w, tested)
-    return MembershipVerdict(x, METHOD_ODD_P, True, None, tested)
+    w, tested = _check_against_p_elements(g, xt, x, _odd_primes(g), pair_cap, cap, 0)
+    return MembershipVerdict(x, METHOD_ODD_P, w is None, w, tested)
 
 
 def member_two_element(
@@ -286,11 +349,8 @@ def member_two_element(
         raise PreconditionError(
             f"x must be a p-element for an odd prime, but o(x) = {o}"
         )
-    tested = 0
-    w, tested = _check_against_p_elements(g, x.t, x, 2, pair_cap, cap, tested, probe=True)
-    if w is not None:
-        return MembershipVerdict(x, METHOD_TWO_ELEMENT, False, w, tested)
-    return MembershipVerdict(x, METHOD_TWO_ELEMENT, True, None, tested)
+    w, tested = _check_against_p_elements(g, x.t, x, [2], pair_cap, cap, 0)
+    return MembershipVerdict(x, METHOD_TWO_ELEMENT, w is None, w, tested)
 
 
 def member_combined(
@@ -306,18 +366,13 @@ def member_combined(
     tested = 0
     x2 = split.two_part
     if not x2.is_identity():
-        for p in factorize(g.order).primes:
-            if p == 2:
-                continue
-            w, tested = _check_against_p_elements(
-                g, x2.t, x2, p, pair_cap, cap, tested, probe=True
-            )
-            if w is not None:
-                return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
-    for p, comp in primary_decomposition(split.odd_part).components:
         w, tested = _check_against_p_elements(
-            g, comp.t, comp, 2, pair_cap, cap, tested, probe=True
+            g, x2.t, x2, _odd_primes(g), pair_cap, cap, tested
         )
+        if w is not None:
+            return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
+    for p, comp in primary_decomposition(split.odd_part).components:
+        w, tested = _check_against_p_elements(g, comp.t, comp, [2], pair_cap, cap, tested)
         if w is not None:
             return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
     return MembershipVerdict(x, METHOD_COMBINED, True, None, tested)
@@ -345,31 +400,18 @@ def find_witness(
     if dom.degree != g.degree:
         raise PreconditionError("witness domain degree differs from the group's")
     if constraint == CONSTRAINT_ODD_P:
-        primes = [p for p in factorize(dom.order).primes if p != 2]
+        primes = _odd_primes(dom)
     elif constraint == CONSTRAINT_TWO_ELEMENT:
         primes = [2] if dom.order % 2 == 0 else []
     elif constraint == CONSTRAINT_ANY:
         primes = list(factorize(dom.order).primes)
     else:
         raise PreconditionError(f"unknown witness constraint {constraint!r}")
-    n = g.degree
-    xt = x.t
-    tested = 0
-    for p in primes:
-        covered: set = set()
-        for yt in dom.p_element_tables(p, cap):
-            if yt in covered:
-                continue
-            tested += 1
-            if tested > pair_cap:
-                raise CapExceededError(
-                    f"pair cap {pair_cap} exhausted before the search finished"
-                )
-            solvable, order, steps, h = _pair_solvable(n, xt, yt)
-            if not solvable:
-                return Witness(x, Perm(n, yt), p, order, steps)
-            covered.update(_coverage(h, cap))
-    return None
+    out = _exhaust(dom, x.t, primes, cap, pair_cap)
+    if out is None:
+        raise CapExceededError(f"pair cap {pair_cap} exhausted before the search finished")
+    hit = out[1]
+    return None if hit is None else _witness(x, g.degree, hit)
 
 
 def witness_is_valid(

@@ -74,6 +74,8 @@ class PermutationGroup:
         self._levels: list[_Level] = []
         self._order: int | None = None
         self._pelement_cache: dict[int, _FilledStream] = {}
+        # outcomes of the p-element scans in criteria.py, keyed there
+        self._scan_cache: dict = {}
         for t in tables:
             self._add_generator(t)
 
@@ -103,6 +105,7 @@ class PermutationGroup:
         self._insert_strong(0, i, res)
         self._order = None
         self._pelement_cache.clear()
+        self._scan_cache.clear()
         return True
 
     def _adopt(self, t) -> bool:

@@ -245,6 +245,48 @@ def test_cvl_rosters_frozen():
     assert len(cvl3.entries) == 16
 
 
+# Every pair of roster names with one socle order, and what the pair is.
+SAME_GROUP_TWICE = {
+    frozenset({"PSU4_2", "PSp4_3"}),  # PSU4(2) = PSp4(3)
+    frozenset({"PO8p_2", "D4_2"}),  # POmega8+(2) = D4(2): CVL2 and CVL3 names
+    frozenset({"PO8m_3", "2D4_3"}),  # POmega8-(3) = 2D4(3): twice on CVL2
+}
+DIFFERENT_GROUPS = {
+    frozenset({"PO7_3", "PSp6_3"}),  # B3(3) and C3(3), not isomorphic
+    frozenset({"PSL4_2", "PSL3_4"}),  # told apart by element orders below
+}
+
+
+def test_equal_order_roster_pairs_are_pinned():
+    by_order: dict = {}
+    for name, order in catalog._SOCLE_ORDERS.items():
+        by_order.setdefault(order, set()).add(name)
+    pairs = {frozenset(names) for names in by_order.values() if len(names) > 1}
+    assert pairs == SAME_GROUP_TWICE | DIFFERENT_GROUPS
+    assert {"2D4_3", "PO8m_3"} <= {e.socle for e in CVL_LISTS["CVL2"].entries}
+
+
+def socle_order_counts(name):
+    socle = cvl_realization(name).socle
+    counts: dict = {}
+    for t in socle.tables():
+        o = socle.element_order(t)
+        counts[o] = counts.get(o, 0) + 1
+    return counts
+
+
+def test_equal_order_runnable_socles_by_element_orders():
+    # PSL4(2) = A8 holds (1 2 3)(4 5 6 7 8) of order 15; PSL3(4) has no
+    # element of order 15, so the two groups of order 20160 differ
+    psl4_2, psl3_4 = socle_order_counts("PSL4_2"), socle_order_counts("PSL3_4")
+    assert psl4_2[15] == 2688 and 15 not in psl3_4
+    assert sum(psl4_2.values()) == sum(psl3_4.values()) == 20160
+    # the two realizations of PSU4(2) = PSp4(3) agree, as they must
+    assert socle_order_counts("PSU4_2") == socle_order_counts("PSp4_3") == {
+        1: 1, 2: 315, 3: 800, 4: 3780, 5: 5184, 6: 5760, 9: 5760, 12: 4320,
+    }
+
+
 def test_cvl_runnable_flags_and_aut_orders():
     runnable = {
         e.socle: e.aut_order

@@ -19,6 +19,7 @@ from radlab.criteria import (
     CONSTRAINT_ANY,
     CONSTRAINT_ODD_P,
     CONSTRAINT_TWO_ELEMENT,
+    MembershipVerdict,
     Witness,
     _probe_tables,
     find_witness,
@@ -29,7 +30,7 @@ from radlab.criteria import (
     witness_is_valid,
 )
 from radlab.errors import CapExceededError, MembershipError, PreconditionError
-from radlab.group import PermutationGroup
+from radlab.group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from radlab.perm import Perm
 from radlab.structure import (
     is_solvable,
@@ -449,3 +450,140 @@ def test_find_witness_coverage_above_cap_is_skipped():
     assert domain.order == 4
     assert find_witness(s4, x, CONSTRAINT_TWO_ELEMENT, cap=4, domain=domain) is None
     assert find_witness(s4, x, CONSTRAINT_ANY, cap=4, domain=domain) is None
+
+
+# -- scan memo -----------------------------------------------------------------
+
+
+class NoMemo(dict):
+    """A scan memo that stores nothing, so every scan runs from scratch."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+def memo_free(g):
+    h = PermutationGroup(g.degree, g.generators)
+    h._scan_cache = NoMemo()
+    return h
+
+
+def verdict_key(v):
+    return (v.member, v.witness, v.pairs_tested)
+
+
+def outcome(fn, g, x, **kw):
+    """A scan's result in comparable form: "capped" when the pair cap fired."""
+    try:
+        v = fn(g, x, **kw)
+    except CapExceededError:
+        return "capped"
+    return verdict_key(v) if isinstance(v, MembershipVerdict) else v
+
+
+def member_methods(x):
+    methods = [member_b1, member_oddp, member_combined]
+    f = factorize(x.order()).pairs
+    if len(f) == 1 and f[0][0] != 2:
+        methods.append(member_two_element)
+    return methods
+
+
+def witness_calls():
+    return [(lambda g, x, c=c, **kw: find_witness(g, x, c, **kw)) for c in CONSTRAINTS]
+
+
+def test_warm_scans_match_fresh_groups(corpus):
+    for name, g in coverage_groups(corpus).items():
+        reference = memo_free(g)
+        warm = catalog.build_named(name)
+        reps = [c.representative for c in g.class_representatives()]
+        expected = {}
+        for x in reps:
+            for i, fn in enumerate(member_methods(x) + witness_calls()):
+                expected[x, i] = outcome(fn, reference, x)
+                cold = catalog.build_named(name)
+                assert outcome(fn, cold, x) == expected[x, i], (name, x.cycles(), i)
+        for _ in range(2):
+            for x in reps:
+                for i, fn in enumerate(member_methods(x) + witness_calls()):
+                    assert outcome(fn, warm, x) == expected[x, i], (name, x.cycles(), i)
+        assert warm._scan_cache
+
+
+def test_pair_cap_boundary_cold_and_warm(corpus):
+    # one group object answers count - 1, count, count - 1, count: the first
+    # call is cold, the second finds the primes the capped call finished, and
+    # the last two find every scan of the query memoized
+    loop_witnesses = 0
+    for name in ("S4", "A5", "S3xA5", "PSL2_7"):
+        g = corpus[name]
+        for cls in g.class_representatives():
+            x = cls.representative
+            for fn in member_methods(x)[1:]:
+                v = fn(memo_free(g), x)
+                count = v.pairs_tested
+                warm = catalog.build_named(name)
+                for cap in (count - 1, count, count - 1, count):
+                    cold = outcome(fn, catalog.build_named(name), x, pair_cap=cap)
+                    assert outcome(fn, warm, x, pair_cap=cap) == cold, (name, x.cycles(), cap)
+                    if cap == count:
+                        assert cold == verdict_key(v)
+                    elif v.member and count:
+                        assert cold == "capped", (name, x.cycles(), fn.__name__)
+                    elif cold == "capped":
+                        loop_witnesses += 1
+    assert loop_witnesses
+    # a scan that tests no pair never reaches the cap, even one below zero
+    c3 = corpus["C3"]
+    x = c3.generators[0]
+    for g in (c3, c3, memo_free(c3)):
+        assert verdict_key(member_two_element(g, x, pair_cap=-1)) == (True, None, 0)
+    # find_witness reports no count: its boundary is the least budget that passes
+    a5 = corpus["A5"]
+    for fw in witness_calls():
+        for cls in a5.class_representatives():
+            x = cls.representative
+            expect = fw(memo_free(a5), x)
+            boundary = 0
+            while outcome(fw, catalog.build_named("A5"), x, pair_cap=boundary) == "capped":
+                boundary += 1
+            warm = catalog.build_named("A5")
+            for cap in (boundary - 1, boundary, boundary - 1, boundary):
+                got = outcome(fw, warm, x, pair_cap=cap)
+                assert got == (expect if cap == boundary else "capped"), (x.cycles(), cap)
+
+
+def test_adopt_invalidates_the_scan_memo():
+    a, b, c = (Perm.from_cycles(s, 5) for s in ("(1 2 3)", "(1 2)(3 4)", "(1 2 3 4 5)"))
+    g = PermutationGroup(5, [a, b])  # A4 on five points, so R(G) = G
+    for x in (a, b):
+        assert all(fn(g, x).member for fn in member_methods(x))
+        assert all(fw(g, x) is None for fw in witness_calls())
+    assert g._adopt(c.t)
+    a5 = memo_free(PermutationGroup(5, [a, b, c]))
+    for x in (a, b):
+        assert not member_combined(g, x).member
+        for fn in member_methods(x) + witness_calls():
+            assert outcome(fn, g, x) == outcome(fn, a5, x), (x.cycles(), fn)
+
+
+def test_enumeration_caps_do_not_share_scans():
+    # at cap 4 the pair subgroups (S4 or D4) are too large to cover anything,
+    # so the scan tests all three 2-elements of the domain; at the default cap
+    # the first pair subgroup, S4, covers the other two
+    s4 = catalog.symmetric(4)
+    x = Perm.from_cycles("(1 2 3 4)", 4)
+    gens = [Perm.from_cycles("(1 2)", 4), Perm.from_cycles("(3 4)", 4)]
+    runs = [(4, 3), (DEFAULT_ENUMERATION_CAP, 1)]
+    for order in (runs, runs[::-1]):
+        domain = PermutationGroup(4, gens)
+        for cap, count in order:
+            for _ in range(2):
+                assert find_witness(
+                    s4, x, CONSTRAINT_TWO_ELEMENT, pair_cap=count, cap=cap, domain=domain
+                ) is None
+                with pytest.raises(CapExceededError):
+                    find_witness(
+                        s4, x, CONSTRAINT_TWO_ELEMENT, pair_cap=count - 1, cap=cap, domain=domain
+                    )
