@@ -6,11 +6,24 @@ breadth-first with generators in list order, and every data structure is an
 insertion-ordered dict or list, so the chain, the element enumeration order,
 and all downstream verdicts are reproducible run to run.
 
+A conjugacy class is represented by its first member in enumeration order.
+Classes of elements of a prime order p are found without enumerating the
+group: every such element is conjugate into one Sylow p-subgroup, which
+sylow() builds from seeded random draws, and the first member of a class is
+the one whose sift positions through the chain are least, because the
+enumeration runs over the chain with the shallowest level as its major
+digit. When the draws run out, the classes come from filtering the full
+enumeration, so the draws decide the time, never the answer. Class lists
+and p-element streams are cached on the group and dropped when it grows;
+the enumeration cap is checked before any cached answer is returned.
+
 Raw images tables (see perm.py) are used internally; the public surface talks
 in Perm objects.
 """
 
 from __future__ import annotations
+
+import random
 
 from .arith import factorize, is_prime, p_part
 from .errors import (
@@ -34,6 +47,10 @@ DEFAULT_CLASS_CAP = 100_000
 # tables() folds the deepest chain levels into one list of at most this many
 # elements, so the fold stays small (512 byte tables take about 150 kB).
 TAIL_LIMIT = 512
+# sylow() gives up after this many random draws; the order-p class search
+# then falls back to filtering the full enumeration
+SYLOW_DRAWS = 1000
+SYLOW_SEED = 0
 
 
 class _Level:
@@ -74,6 +91,8 @@ class PermutationGroup:
         self._levels: list[_Level] = []
         self._order: int | None = None
         self._pelement_cache: dict[int, _FilledStream] = {}
+        # order_filter -> [(rep_table, class_size)], in enumeration order
+        self._class_cache: dict[int | None, list] = {}
         # outcomes of the p-element scans in criteria.py, keyed there
         self._scan_cache: dict = {}
         for t in tables:
@@ -105,6 +124,7 @@ class PermutationGroup:
         self._insert_strong(0, i, res)
         self._order = None
         self._pelement_cache.clear()
+        self._class_cache.clear()
         self._scan_cache.clear()
         return True
 
@@ -357,20 +377,114 @@ class PermutationGroup:
     ):
         """Yield (rep_table, class_size) per conjugacy class, enumeration order.
 
-        With order_filter only classes of that exact element order are visited;
-        the seen-set then holds only elements of that order, keeping memory
-        proportional to the filtered count.
+        A class's representative is its first member in tables() order. With
+        order_filter only classes of that exact element order are visited.
+        The cap is checked against |G| on the first next(), whichever path
+        runs, and the finished list is kept on the group, so a repeated call
+        costs nothing.
+
+        For a prime order_filter p the classes are seeded from a Sylow
+        p-subgroup P: every element of order p is conjugate into P, so a
+        class BFS from each unseen order-p element of P finds every class
+        without enumerating G, and each representative is the member with
+        the least chain position (_chain_least). When sylow() runs out of
+        draws, the classes come from filtering the full enumeration instead,
+        with the same result.
         """
+        self._check_cap(cap)
+        classes = self._class_cache.get(order_filter)
+        if classes is None:
+            if order_filter is not None and is_prime(order_filter):
+                classes = self._classes_from_sylow(order_filter)
+            if classes is None:
+                classes = self._classes_by_enumeration(order_filter, cap)
+            self._class_cache[order_filter] = classes
+        yield from classes
+
+    def _classes_by_enumeration(self, order_filter: int | None, cap: int) -> list:
+        """Classes in order of their first member in tables(); with
+        order_filter the seen-set holds only elements of that order."""
         tables = self.tables(cap)
         if order_filter is not None:
             tables = filter(self._order_checker(order_filter), tables)
         seen: set = set()
+        out = []
         for t in tables:
             if t in seen:
                 continue
             members, size = self.conjugacy_class_tables(t, class_cap=1 << 62)
             seen.update(members)
-            yield t, size
+            out.append((t, size))
+        return out
+
+    def _classes_from_sylow(self, p: int) -> list | None:
+        """Classes of elements of order p, seeded from a Sylow p-subgroup and
+        sorted by chain position; None when sylow() gives up."""
+        sylow = self.sylow(p, random.Random(SYLOW_SEED))
+        if sylow is None:
+            return None
+        has_order_p = self._order_checker(p)
+        seen: set = set()
+        found = []
+        for t in sylow.tables(sylow.order):
+            if t in seen or not has_order_p(t):
+                continue
+            members, size = self.conjugacy_class_tables(t, class_cap=1 << 62)
+            seen.update(members)
+            key, rep = self._chain_least(members)
+            found.append((key, rep, size))
+        found.sort()
+        return [(rep, size) for _key, rep, size in found]
+
+    def _chain_least(self, tables: list) -> tuple[tuple, object]:
+        """(position, table) for the table that tables() yields first.
+
+        Sifting t through the chain reads one orbit position per level: the
+        index, in orbit order, of the point t's residue sends the level's
+        base to. tables() runs over levels with the shallowest level as the
+        major digit, both in its odometer and in its folded tail, so the
+        lexicographic order of these tuples is the enumeration order. Only
+        the tables that tie on every level so far are sifted further.
+        """
+        compose = self._mul
+        cands = [(t, t) for t in tables]
+        position = []
+        for lvl in self._levels:
+            b = lvl.base
+            index = {pt: i for i, pt in enumerate(lvl.orbit)}
+            least = min(index[r[b]] for _t, r in cands)
+            position.append(least)
+            cands = [(t, r) for t, r in cands if index[r[b]] == least]
+            if least:
+                uinv = lvl.orbit[cands[0][1][b]][1]
+                cands = [(t, compose(r, uinv)) for t, r in cands]
+        return tuple(position), cands[0][0]
+
+    def sylow(self, p: int, rng, budget: int = SYLOW_DRAWS) -> "PermutationGroup | None":
+        """A Sylow p-subgroup, or None after `budget` random draws.
+
+        Each draw is a seeded random_element raised to its p-part; it joins
+        the p-subgroup P built so far when <P, y> is still a p-group. P is
+        returned only with the certificate |P| = |G|_p, so the same rng seed
+        gives the same P, and a None costs time but never a wrong answer.
+        """
+        n = self.degree
+        target = p_part(self.order, p)
+        sub = PermutationGroup(n, [])
+        draws = 0
+        while sub.order < target:
+            if draws >= budget:
+                return None
+            draws += 1
+            y = self.random_element(rng).t
+            o = table_order(y, n)
+            y = pow_table(y, o // p_part(o, p), n)
+            if is_ident(y) or sub.contains_table(y):
+                continue
+            grown = PermutationGroup(n, [Perm(n, t) for t in sub.gens + [y]])
+            if p_part(grown.order, p) == grown.order:
+                sub = grown
+        return sub
 
     def _order_checker(self, k: int):
         """Predicate: element has order exactly k (k >= 1)."""
@@ -415,16 +529,18 @@ class PermutationGroup:
 
         The elements are found on demand: a search that stops at an early
         element enumerates only the group prefix it needed. The cap is checked
-        here, at call time, so a stream is cached only when its source can
-        run to the end.
+        at call time whenever p divides |G|, before the cache is consulted, so
+        a warm group refuses a small cap exactly as a fresh one does, and a
+        stream is cached only when its source can run to the end.
         """
+        pe = p_part(self.order, p)
+        if pe > 1:
+            self._check_cap(cap)
         cached = self._pelement_cache.get(p)
         if cached is not None:
             return cached
-        pe = p_part(self.order, p)
         source = iter(())
         if pe > 1:
-            self._check_cap(cap)
             n = self.degree
             ident = self._ident
             source = (

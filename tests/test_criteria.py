@@ -587,3 +587,19 @@ def test_enumeration_caps_do_not_share_scans():
                     find_witness(
                         s4, x, CONSTRAINT_TWO_ELEMENT, pair_cap=count - 1, cap=cap, domain=domain
                     )
+
+
+def test_enumeration_cap_refused_alike_on_warm_and_fresh_groups():
+    # S4 (order 24) at cap 10: a default-cap call before must not let a
+    # cached p-element stream slip past the cap
+    x = Perm.from_cycles("(1 2 3)", 4)
+    calls = [member_b1, member_oddp, member_two_element, member_combined, find_witness]
+    for fn in calls:
+        fresh = catalog.symmetric(4)
+        with pytest.raises(CapExceededError):
+            fn(fresh, x, cap=10)
+        warm = catalog.symmetric(4)
+        fn(warm, x)
+        with pytest.raises(CapExceededError):
+            fn(warm, x, cap=10)
+        assert fn(warm, x, cap=24) == fn(catalog.symmetric(4), x, cap=24)

@@ -10,9 +10,11 @@ import random
 import pytest
 
 from radlab import catalog
+from radlab.arith import p_part
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
 from radlab.group import PermutationGroup, group_from_cycles
 from radlab.perm import Perm, format_cycles, mul, table_order
+from radlab.verify import verify_equivalence
 
 
 def brute_closure(degree, gens, limit=50_000):
@@ -367,3 +369,116 @@ def test_p_element_stream_cap_does_not_poison_cache():
         g.p_element_tables(2, cap=10)
     assert list(g.p_element_tables(2, cap=100)) == brute_p_elements(g, 2)
     assert len(brute_p_elements(g, 2)) == 15
+
+
+def test_chain_least_follows_enumeration_order(corpus):
+    psl28 = catalog.cvl_realization("PSL2_8")
+    wide = G(300, "(1 2 3 4 5 6)", "(1 2)", "(290 291 292)")
+    groups = dict(corpus, PSL2_8_aut=psl28.group, wide=wide)
+    rng = random.Random(7)
+    for name, g in groups.items():
+        if g.order > 3000:
+            continue
+        elements = list(g.tables())
+        positions = [g._chain_least([t])[0] for t in elements]
+        assert positions == sorted(positions), name
+        assert len(set(positions)) == len(elements), name
+        for _ in range(5):
+            sample = rng.sample(elements, min(7, len(elements)))
+            first = min(sample, key=elements.index)
+            assert g._chain_least(sample)[1] == first, name
+
+
+def cvl_runnable_groups():
+    """(label, Aut(G0), x order) for every runnable CVL pair."""
+    out = []
+    for lst in catalog.CVL_LISTS.values():
+        for entry in lst.entries:
+            if entry.runnable:
+                real = catalog.cvl_realization(entry.socle)
+                out.append((f"{lst.name}/{entry.socle}", real.group, lst.x_order))
+    return out
+
+
+def test_sylow_classes_match_filter_path_on_cvl_pairs():
+    cases = cvl_runnable_groups()
+    assert len(cases) == 19
+    for label, g, p in cases:
+        expect = g._classes_by_enumeration(p, 260_000)
+        assert list(g.class_representatives_tables(p, cap=260_000)) == expect, label
+
+
+def test_sylow_classes_match_filter_path_on_corpus():
+    for name in catalog.CORPUS:
+        g = catalog.build_named(name)
+        for p in (2, 3):
+            expect = g._classes_by_enumeration(p, 200_000)
+            assert list(g.class_representatives_tables(p)) == expect, (name, p)
+
+
+def test_sylow_subgroup_certificate(corpus):
+    groups = dict(corpus, PSp4_3_aut=catalog.cvl_realization("PSp4_3").group)
+    for name, g in groups.items():
+        for p in (2, 3, 5, 7):
+            sub = g.sylow(p, random.Random(1))
+            assert sub is not None, (name, p)
+            assert sub.order == p_part(g.order, p), (name, p)
+            assert all(g.contains_table(t) for t in sub.gens), (name, p)
+            # a p-group: every element has p-power order
+            for t in sub.tables(sub.order):
+                assert p_part(table_order(t, g.degree), p) == table_order(t, g.degree)
+
+
+def test_sylow_is_seeded_and_budgeted():
+    g = catalog.cvl_realization("PSL3_3").group
+    first = g.sylow(2, random.Random(5))
+    again = catalog.cvl_realization("PSL3_3").group.sylow(2, random.Random(5))
+    assert first.gens == again.gens and first.order == 32
+    assert g.sylow(2, random.Random(5), budget=0) is None
+    # nothing to draw when p does not divide |G|
+    assert g.sylow(7, random.Random(5), budget=0).order == 1
+
+
+def test_sylow_budget_exhausted_falls_back_to_same_classes(monkeypatch):
+    for name, p in (("A7", 3), ("PGL2_7", 2), ("A5wr2", 2)):
+        expect = list(catalog.build_named(name).class_representatives_tables(p))
+        g = catalog.build_named(name)
+        draw = g.sylow
+        calls = []
+
+        def no_draws(q, rng, budget=0):
+            calls.append(q)
+            return draw(q, rng, budget=0)
+
+        monkeypatch.setattr(g, "sylow", no_draws)
+        assert list(g.class_representatives_tables(p)) == expect, name
+        assert calls == [p]
+
+
+def test_class_list_cap_checked_on_first_next():
+    g = catalog.cvl_realization("PSL3_3").group
+    for p in (2, 3, None):
+        with pytest.raises(CapExceededError):
+            next(g.class_representatives_tables(p, cap=g.order - 1))
+        # a warm list is refused at the same cap
+        assert list(g.class_representatives_tables(p, cap=g.order))
+        with pytest.raises(CapExceededError):
+            next(g.class_representatives_tables(p, cap=g.order - 1))
+
+
+def test_class_list_built_once_and_cleared_on_growth(monkeypatch):
+    g = catalog.build_named("S3xA5")
+    built = []
+    enumerate_classes = g._classes_by_enumeration
+
+    def counting(order_filter, cap):
+        built.append(order_filter)
+        return enumerate_classes(order_filter, cap)
+
+    monkeypatch.setattr(g, "_classes_by_enumeration", counting)
+    verify_equivalence(g, "S3xA5")
+    assert built == [None]
+    h = G(5, "(1 2 3)")
+    assert len(h.class_representatives()) == 3
+    assert h._adopt(Perm.from_cycles("(3 4 5)", 5).t)
+    assert sorted(c.size for c in h.class_representatives()) == [1, 12, 12, 15, 20]

@@ -1,6 +1,10 @@
 """Verification harnesses, report canonicalization, generation certificates."""
 
+import ast
+import hashlib
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
@@ -155,3 +159,38 @@ def test_generating_triple_none_when_impossible(corpus):
     assert generating_triple(corpus["C3"], orders=(2,)) is None
     # the involutions of A4 only generate the Klein four-subgroup
     assert generating_triple(corpus["A4"], orders=(2,)) is None
+
+
+def _benchmark_pins():
+    """perfbench's pinned report digests (read from run.py's source, which
+    imports benchmark-only modules) and its workload inputs."""
+    root = Path(__file__).resolve().parent.parent / "perfbench"
+    tree = ast.parse((root / "run.py").read_text())
+    pinned = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and node.targets[0].id == "PINNED_DIGESTS"
+    )
+    spec = importlib.util.spec_from_file_location("_bench_workloads", root / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return pinned, workloads
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_corpus_report_bytes_as_pinned():
+    pinned, wl = _benchmark_pins()
+    reports = [
+        verify_equivalence(catalog.build_named(name), name, cap=wl.CORPUS_CAP)
+        for name, _order in wl.CORPUS
+    ]
+    assert _sha256(reports_to_json(reports)) == pinned["corpus"]
+
+
+def test_cvl_report_bytes_as_pinned():
+    pinned, wl = _benchmark_pins()
+    reports = [verify_cvl(socle, lst, cap=wl.CVL_CAP) for lst, socle, _aut in wl.CVL_PAIRS]
+    assert _sha256(reports_to_json(reports)) == pinned["cvl_runnable"]
