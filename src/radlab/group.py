@@ -12,10 +12,12 @@ group: every such element is conjugate into one Sylow p-subgroup, which
 sylow() builds from seeded random draws, and the first member of a class is
 the one whose sift positions through the chain are least, because the
 enumeration runs over the chain with the shallowest level as its major
-digit. When the draws run out, the classes come from filtering the full
-enumeration, so the draws decide the time, never the answer. Class lists
-and p-element streams are cached on the group and dropped when it grows;
-the enumeration cap is checked before any cached answer is returned.
+digit. A draw with a point orbit of non-p-power length is refused before its
+chain is built, as every orbit of a p-group has p-power length. When the
+draws run out, the classes come from filtering the full enumeration, so the
+draws decide the time, never the answer. Class lists and p-element streams
+are cached on the group and dropped when it grows; the enumeration cap is
+checked before any cached answer is returned.
 
 Raw images tables (see perm.py) are used internally; the public surface talks
 in Perm objects.
@@ -167,11 +169,11 @@ class PermutationGroup:
         ident = self._ident
         for p, (u, _uinv) in orbit.items():
             for s in lvl.gens:
-                q = s[p]
-                schreier = compose(compose(u, s), orbit[q][1])
-                if schreier == ident:
+                us = compose(u, s)
+                uq, uqinv = orbit[s[p]]
+                if us == uq:  # the Schreier generator us * uq^-1 is the identity
                     continue
-                res, j = self._sift(schreier, i + 1)
+                res, j = self._sift(compose(us, uqinv), i + 1)
                 if res != ident:
                     self._insert_strong(i + 1, j, res)
 
@@ -467,6 +469,8 @@ class PermutationGroup:
         the p-subgroup P built so far when <P, y> is still a p-group. P is
         returned only with the certificate |P| = |G|_p, so the same rng seed
         gives the same P, and a None costs time but never a wrong answer.
+        A point orbit of <P, y> whose length is not a power of p proves it
+        is no p-group, so such a draw is refused before its chain is built.
         """
         n = self.degree
         target = p_part(self.order, p)
@@ -481,7 +485,10 @@ class PermutationGroup:
             y = pow_table(y, o // p_part(o, p), n)
             if is_ident(y) or sub.contains_table(y):
                 continue
-            grown = PermutationGroup(n, [Perm(n, t) for t in sub.gens + [y]])
+            gens = sub.gens + [y]
+            if not _orbits_are_p_powers(gens, n, p):
+                continue
+            grown = PermutationGroup(n, [Perm(n, t) for t in gens])
             if p_part(grown.order, p) == grown.order:
                 sub = grown
         return sub
@@ -541,12 +548,21 @@ class PermutationGroup:
             return cached
         source = iter(())
         if pe > 1:
-            n = self.degree
+            # t^pe == 1, raising t to the p-th power once per factor p of pe
+            compose = self._mul
             ident = self._ident
-            source = (
-                t for t in self.tables(cap)
-                if t != ident and pow_table(t, pe, n) == ident
-            )
+            steps = range(p - 1)
+
+            def is_p_element(t) -> bool:
+                s, k = t, 1
+                while k < pe:
+                    r = s
+                    for _ in steps:
+                        r = compose(r, s)
+                    s, k = r, k * p
+                return s == ident and t != ident
+
+            source = filter(is_p_element, self.tables(cap))
         stream = self._pelement_cache[p] = _FilledStream(source)
         return stream
 
@@ -606,6 +622,25 @@ class ConjugacyClass:
 
     def __repr__(self) -> str:
         return f"ConjugacyClass({self.representative.cycles()}, size={self.size})"
+
+
+def _orbits_are_p_powers(tables: list, degree: int, p: int) -> bool:
+    """True when every point orbit of <tables> has p-power length."""
+    seen = bytearray(degree)
+    for start in range(degree):
+        if seen[start]:
+            continue
+        seen[start] = 1
+        orbit = [start]
+        for pt in orbit:  # the list grows as it is read: breadth-first
+            for t in tables:
+                q = t[pt]
+                if not seen[q]:
+                    seen[q] = 1
+                    orbit.append(q)
+        if p_part(len(orbit), p) != len(orbit):
+            return False
+    return True
 
 
 def group_from_cycles(degree: int, cycle_strings: list[str], name: str | None = None) -> PermutationGroup:

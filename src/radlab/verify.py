@@ -97,7 +97,7 @@ def _sorted_checks(checks: list) -> list:
 
 # Worker state is installed before forking so task functions only need the
 # class representative; pool.map preserves input order, which keeps reports
-# independent of the worker count.
+# independent of the worker count. The harnesses clear it before returning.
 _WORK: dict = {}
 
 
@@ -160,6 +160,8 @@ def verify_equivalence(
             report.status = STATUS_COUNTEREXAMPLE
     except CapExceededError:
         report.status = STATUS_CAPPED
+    finally:
+        _WORK.clear()
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -216,6 +218,8 @@ def verify_cvl(
             report.status = STATUS_COUNTEREXAMPLE
     except CapExceededError:
         report.status = STATUS_CAPPED
+    finally:
+        _WORK.clear()
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 

@@ -10,10 +10,10 @@ import random
 import pytest
 
 from radlab import catalog
-from radlab.arith import p_part
+from radlab.arith import factorize, p_part
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
-from radlab.group import PermutationGroup, group_from_cycles
-from radlab.perm import Perm, format_cycles, mul, table_order
+from radlab.group import SYLOW_DRAWS, PermutationGroup, group_from_cycles
+from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order
 from radlab.verify import verify_equivalence
 
 
@@ -482,3 +482,144 @@ def test_class_list_built_once_and_cleared_on_growth(monkeypatch):
     assert len(h.class_representatives()) == 3
     assert h._adopt(Perm.from_cycles("(3 4 5)", 5).t)
     assert sorted(c.size for c in h.class_representatives()) == [1, 12, 12, 15, 20]
+
+
+def reference_verify_level(self, i):
+    """_verify_level before the identity skip: every Schreier generator is
+    composed in full and compared with the identity."""
+    lvl = self._levels[i]
+    reference_rebuild_orbit(self, lvl)
+    orbit = lvl.orbit
+    compose = self._mul
+    ident = self._ident
+    for p, (u, _uinv) in orbit.items():
+        for s in lvl.gens:
+            q = s[p]
+            schreier = compose(compose(u, s), orbit[q][1])
+            if schreier == ident:
+                continue
+            res, j = self._sift(schreier, i + 1)
+            if res != ident:
+                self._insert_strong(i + 1, j, res)
+
+
+def reference_rebuild_orbit(self, lvl):
+    ident = self._ident
+    compose = self._mul
+    orbit = {lvl.base: (ident, ident)}
+    queue = [lvl.base]
+    qi = 0
+    while qi < len(queue):
+        p = queue[qi]
+        qi += 1
+        u = orbit[p][0]
+        for s in lvl.gens:
+            q = s[p]
+            if q not in orbit:
+                uq = compose(u, s)
+                orbit[q] = (uq, inv(uq, self.degree))
+                queue.append(q)
+    lvl.orbit = orbit
+
+
+def chain_snapshot(g):
+    return [(lvl.base, list(lvl.gens), list(lvl.orbit.items())) for lvl in g._levels]
+
+
+def chains_of_catalog_groups():
+    chains = {name: chain_snapshot(catalog.build_named(name)) for name in catalog.CORPUS}
+    for socle in catalog._REALIZERS:
+        real = catalog.cvl_realization(socle)
+        chains[socle + "/aut"] = chain_snapshot(real.group)
+        chains[socle + "/socle"] = chain_snapshot(real.socle)
+    return chains
+
+
+def test_identity_skip_builds_the_same_chains(monkeypatch):
+    chains = chains_of_catalog_groups()
+    assert len(chains) == len(catalog.CORPUS) + 2 * 12
+    monkeypatch.setattr(PermutationGroup, "_verify_level", reference_verify_level)
+    monkeypatch.setattr(PermutationGroup, "_rebuild_orbit", reference_rebuild_orbit)
+    expect = chains_of_catalog_groups()
+    for name, chain in expect.items():
+        assert chains[name] == chain, name
+
+
+def reference_sylow(g, p, rng, budget=SYLOW_DRAWS):
+    """sylow() without the orbit pre-check: every candidate builds a chain."""
+    n = g.degree
+    target = p_part(g.order, p)
+    sub = PermutationGroup(n, [])
+    draws = 0
+    while sub.order < target:
+        if draws >= budget:
+            return None
+        draws += 1
+        y = g.random_element(rng).t
+        o = table_order(y, n)
+        y = pow_table(y, o // p_part(o, p), n)
+        if is_ident(y) or sub.contains_table(y):
+            continue
+        grown = PermutationGroup(n, [Perm(n, t) for t in sub.gens + [y]])
+        if p_part(grown.order, p) == grown.order:
+            sub = grown
+    return sub
+
+
+def test_sylow_orbit_check_keeps_the_same_subgroup(corpus):
+    cases = cvl_runnable_groups()
+    cases += [(name, g, p) for name, g in corpus.items() for p in (2, 3)]
+    for label, g, p in cases:
+        for seed in range(3):
+            sub = g.sylow(p, random.Random(seed))
+            ref = reference_sylow(g, p, random.Random(seed))
+            assert sub.gens == ref.gens, (label, p, seed)
+
+
+def orbit_lengths(tables, degree):
+    lengths = []
+    left = set(range(degree))
+    while left:
+        orbit = {left.pop()}
+        new = orbit
+        while new:
+            new = {t[pt] for t in tables for pt in new} - orbit
+            orbit |= new
+        left -= orbit
+        lengths.append(len(orbit))
+    return lengths
+
+
+def test_sylow_builds_no_chain_for_a_non_p_power_orbit(monkeypatch):
+    g = catalog.cvl_realization("PSL3_3").group
+    built = []
+    init = PermutationGroup.__init__
+
+    def counting(self, degree, generators, name=None):
+        built.append([x.t for x in generators])
+        init(self, degree, generators, name)
+
+    def p_power_orbits(tables):
+        return all(p_part(k, 2) == k for k in orbit_lengths(tables, g.degree))
+
+    monkeypatch.setattr(PermutationGroup, "__init__", counting)
+    ref = reference_sylow(g, 2, random.Random(0))
+    ref_built = built[:]
+    built.clear()
+    sub = g.sylow(2, random.Random(0))
+    assert sub.gens == ref.gens and sub.order == 32
+    refused = [gens for gens in ref_built if not p_power_orbits(gens)]
+    assert refused
+    assert built == [gens for gens in ref_built if p_power_orbits(gens)]
+
+
+def test_p_element_filter_matches_pow_table_stream():
+    for name in catalog.CORPUS:
+        g = catalog.build_named(name)
+        ident = g._ident
+        for p in factorize(g.order).primes:
+            pe = p_part(g.order, p)
+            expect = [
+                t for t in g.tables() if t != ident and pow_table(t, pe, g.degree) == ident
+            ]
+            assert list(g.p_element_tables(p)) == expect, (name, p)

@@ -8,12 +8,13 @@ from pathlib import Path
 
 import pytest
 
-from radlab import catalog
+from radlab import catalog, verify
 from radlab.criteria import witness_is_valid
-from radlab.errors import PreconditionError
+from radlab.errors import CapExceededError, PreconditionError
 from radlab.group import PermutationGroup
 from radlab.perm import Perm
 from radlab.verify import (
+    STATUS_CAPPED,
     STATUS_OUT_OF_SCALE,
     STATUS_VERIFIED,
     generating_triple,
@@ -99,6 +100,33 @@ def test_cvl_out_of_scale_entries():
     assert r.status == STATUS_OUT_OF_SCALE and r.checks == []
     r = verify_cvl("PSL3_4", "CVL3", cap=260_000)
     assert r.status == STATUS_VERIFIED and r.checks
+
+
+def test_worker_state_released_after_each_call(monkeypatch):
+    g = catalog.build_named("S3xA5")
+    assert verify_equivalence(g, "S3xA5").status == STATUS_VERIFIED
+    assert verify._WORK == {}
+    assert verify_cvl("PSL2_8", "CVL3").status == STATUS_VERIFIED
+    assert verify._WORK == {}
+    assert verify_equivalence(g, "S3xA5", cap=g.order - 1).status == STATUS_CAPPED
+    assert verify._WORK == {}
+    # a cap that fires inside the checks, after the worker state is installed
+    seen = []
+
+    def cap_fires(g, x, *args, **kwargs):
+        seen.append(sorted(verify._WORK))
+        raise CapExceededError("cap fired")
+
+    monkeypatch.setattr(verify, "member_b1", cap_fires)
+    monkeypatch.setattr(verify, "find_witness", cap_fires)
+    assert verify_equivalence(g, "S3xA5").status == STATUS_CAPPED
+    assert verify._WORK == {}
+    assert verify_cvl("PSL2_8", "CVL3").status == STATUS_CAPPED
+    assert verify._WORK == {}
+    assert seen == [
+        ["cap", "group", "pair_cap", "radical"],
+        ["cap", "constraint", "group", "pair_cap", "socle"],
+    ]
 
 
 def test_cvl_rejects_unknown_pairs():
