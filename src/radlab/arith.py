@@ -126,10 +126,6 @@ def factorize(n: int) -> Factorization:
     return Factorization(tuple(pairs))
 
 
-def distinct_prime_count(n: int) -> int:
-    return len(factorize(n).pairs)
-
-
 def p_part(n: int, p: int) -> int:
     """Largest power of p dividing n."""
     part = 1

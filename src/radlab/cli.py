@@ -31,7 +31,7 @@ from .criteria import (
     member_two_element,
 )
 from .errors import CapExceededError, PreconditionError, RadlabError
-from .group import DEFAULT_CLASS_CAP, DEFAULT_ENUMERATION_CAP, PermutationGroup
+from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, format_cycles, parse_cycles
 from .structure import solvable_radical
 from .verify import (
@@ -56,11 +56,9 @@ EXIT_SCALE = 3
 @dataclass
 class RunConfig:
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
-    class_cap: int = DEFAULT_CLASS_CAP
     pair_cap: int = DEFAULT_PAIR_CAP
     workers: int = 1
     output_path: str | None = None
-    seed: int = 0  # consumed only by sampled property tests, never by verifications
 
 
 _METHODS = {
@@ -123,13 +121,13 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
     name = g.name or args.group
     t0 = time.perf_counter()
     if method == "oracle":
-        rad = solvable_radical(g, cap=cfg.enumeration_cap, class_cap=cfg.class_cap)
+        rad = solvable_radical(g, cap=cfg.enumeration_cap)
         checks = []
     else:
         fn = _MEMBER_FNS[method]
         member_reps = []
         checks = []
-        for cls in g.class_representatives(cap=cfg.enumeration_cap, class_cap=cfg.class_cap):
+        for cls in g.class_representatives(cap=cfg.enumeration_cap):
             x = cls.representative
             v = fn(g, x, cfg.pair_cap, cfg.enumeration_cap)
             checks.append(CheckResult(format_cycles(x.t, g.degree), x.order(),
@@ -155,7 +153,7 @@ def _cmd_member(args, cfg: RunConfig) -> int:
     x = Perm(g.degree, parse_cycles(args.element, g.degree))
     method = _METHODS[args.method]
     v = _MEMBER_FNS[method](g, x, cfg.pair_cap, cfg.enumeration_cap)
-    _, size = g.conjugacy_class_tables(x.t, class_cap=cfg.class_cap)
+    _, size = g.conjugacy_class_tables(x.t)
     if v.member:
         print(f"{args.element} is in the solvable radical of {name} "
               f"({method}, {v.pairs_tested} pairs tested)")
@@ -173,8 +171,7 @@ def _cmd_member(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    kw = dict(cap=cfg.enumeration_cap, class_cap=cfg.class_cap,
-              pair_cap=cfg.pair_cap, workers=cfg.workers)
+    kw = dict(cap=cfg.enumeration_cap, pair_cap=cfg.pair_cap, workers=cfg.workers)
     if args.target == "corpus":
         reports = verify_corpus(**kw)
     elif args.target == "equivalence":
@@ -221,9 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
                         help="largest group order that will be enumerated "
                              f"(default {DEFAULT_ENUMERATION_CAP})")
-    common.add_argument("--class-cap", type=int, default=argparse.SUPPRESS,
-                        help="largest conjugacy class that will be materialized "
-                             f"(default {DEFAULT_CLASS_CAP})")
     common.add_argument("--pair-cap", type=int, default=argparse.SUPPRESS,
                         help="solvability tests allowed per run "
                              f"(default {DEFAULT_PAIR_CAP})")
@@ -231,9 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for per-representative checks")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the JSON report here")
-    common.add_argument("--seed", type=int, default=argparse.SUPPRESS,
-                        help="seed for sampled property tests (verifications "
-                             "are exhaustive and take no randomness)")
 
     ap = argparse.ArgumentParser(
         prog="radlab",
@@ -279,11 +270,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if e.code not in (0, None) else EXIT_OK
     cfg = RunConfig(
         enumeration_cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
-        class_cap=getattr(args, "class_cap", DEFAULT_CLASS_CAP),
         pair_cap=getattr(args, "pair_cap", DEFAULT_PAIR_CAP),
         workers=getattr(args, "workers", 1),
         output_path=getattr(args, "out", None),
-        seed=getattr(args, "seed", 0),
     )
     handler = {
         "order": _cmd_order,

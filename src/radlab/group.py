@@ -15,9 +15,14 @@ enumeration runs over the chain with the shallowest level as its major
 digit. A draw with a point orbit of non-p-power length is refused before its
 chain is built, as every orbit of a p-group has p-power length. When the
 draws run out, the classes come from filtering the full enumeration, so the
-draws decide the time, never the answer. Class lists and p-element streams
-are cached on the group and dropped when it grows; the enumeration cap is
-checked before any cached answer is returned.
+draws decide the time, never the answer. A class BFS conjugates by a
+generating pair rather than by every listed generator: a group that lists
+more than two generators draws seeded random pairs and keeps the first whose
+subgroup has order |G|, which certifies that it generates G; a class is the
+same set under any generating set. When the draws run out, the listed
+generators are used. Class lists, p-element streams and the pair are cached
+on the group and dropped when it grows; the enumeration cap is checked before
+any cached answer is returned.
 
 Raw images tables (see perm.py) are used internally; the public surface talks
 in Perm objects.
@@ -53,6 +58,9 @@ TAIL_LIMIT = 512
 # then falls back to filtering the full enumeration
 SYLOW_DRAWS = 1000
 SYLOW_SEED = 0
+# generating_pair() draws at most this many random pairs; the class BFS then
+# conjugates by the listed generators
+PAIR_DRAWS = 16
 
 
 class _Level:
@@ -97,6 +105,8 @@ class PermutationGroup:
         self._class_cache: dict[int | None, list] = {}
         # outcomes of the p-element scans in criteria.py, keyed there
         self._scan_cache: dict = {}
+        # [(g, g^-1)] for a generating pair; see generating_pair()
+        self._pair: list | None = None
         for t in tables:
             self._add_generator(t)
 
@@ -128,6 +138,7 @@ class PermutationGroup:
         self._pelement_cache.clear()
         self._class_cache.clear()
         self._scan_cache.clear()
+        self._pair = None
         return True
 
     def _adopt(self, t) -> bool:
@@ -344,16 +355,45 @@ class PermutationGroup:
                     queue.append(z)
         return n
 
+    def generating_pair(self, budget: int = PAIR_DRAWS) -> list:
+        """[(g, g^-1)] for at most two tables that generate the group, cached.
+
+        A group listing at most two generators uses its own. Otherwise seeded
+        random pairs are drawn, and the first with |<a, b>| = |G| is kept:
+        <a, b> <= G, so equal orders certify that it generates G. After
+        `budget` draws the listed generators are used, so the draws cost time
+        but never change a conjugation orbit.
+        """
+        if self._pair is None:
+            gens = self.gens
+            if len(gens) > 2:
+                rng = random.Random(SYLOW_SEED)
+                for _ in range(budget):
+                    h = PermutationGroup(
+                        self.degree, [self.random_element(rng), self.random_element(rng)]
+                    )
+                    if h.order == self.order:
+                        gens = h.gens
+                        break
+            self._pair = [(g, inv(g, self.degree)) for g in gens]
+        return self._pair
+
     def conjugacy_class_tables(self, t, class_cap: int = DEFAULT_CLASS_CAP):
-        """(members_in_BFS_order, size). Members list is None above the cap."""
+        """(members_in_BFS_order, size). Members list is None above the cap.
+
+        The BFS conjugates by generating_pair(), not by every listed
+        generator. The class is the same set under any generating set; only
+        the BFS order of the members depends on the pair.
+        """
         compose = self._mul
+        conjugators = self.generating_pair()
         seen = {t}
         queue = [t]
         qi = 0
         while qi < len(queue):
             y = queue[qi]
             qi += 1
-            for g, ginv in zip(self.gens, self.gen_invs):
+            for g, ginv in conjugators:
                 z = compose(compose(ginv, y), g)
                 if z not in seen:
                     seen.add(z)
@@ -375,7 +415,6 @@ class PermutationGroup:
         self,
         order_filter: int | None = None,
         cap: int = DEFAULT_ENUMERATION_CAP,
-        class_cap: int = DEFAULT_CLASS_CAP,
     ):
         """Yield (rep_table, class_size) per conjugacy class, enumeration order.
 
@@ -522,10 +561,9 @@ class PermutationGroup:
         self,
         order_filter: int | None = None,
         cap: int = DEFAULT_ENUMERATION_CAP,
-        class_cap: int = DEFAULT_CLASS_CAP,
     ) -> list["ConjugacyClass"]:
         out = []
-        for t, size in self.class_representatives_tables(order_filter, cap, class_cap):
+        for t, size in self.class_representatives_tables(order_filter, cap):
             out.append(ConjugacyClass(Perm(self.degree, t), size, None))
         return out
 

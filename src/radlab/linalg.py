@@ -29,10 +29,6 @@ def identity_matrix(d: int) -> Mat:
     return tuple(tuple(1 if i == j else 0 for j in range(d)) for i in range(d))
 
 
-def scalar_matrix(d: int, c: int) -> Mat:
-    return tuple(tuple(c if i == j else 0 for j in range(d)) for i in range(d))
-
-
 def mat_mul(k: FiniteField, a: Mat, b: Mat) -> Mat:
     d = len(a)
     m = len(b[0])
@@ -115,10 +111,6 @@ def mat_inv(k: FiniteField, a: Mat) -> Mat:
                 f = aug[r][col]
                 aug[r] = [k.sub(x, k.mul(f, y)) for x, y in zip(aug[r], aug[col])]
     return tuple(tuple(row[d:]) for row in aug)
-
-
-def frobenius_matrix(k: FiniteField, a: Mat, steps: int = 1) -> Mat:
-    return tuple(tuple(k.frobenius(x, steps) for x in row) for row in a)
 
 
 def transvection(k: FiniteField, d: int, i: int, j: int, a: int) -> Mat:

@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import math
 import re
-from functools import reduce
-
 from .errors import CycleParseError, DegreeMismatchError
 
 BYTE_DEGREE_LIMIT = 256
@@ -256,8 +254,3 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({self.n}, {self.cycles()!r})"
-
-
-def perm_product(perms: list[Perm]) -> Perm:
-    """Left-to-right product; requires a nonempty list."""
-    return reduce(lambda a, b: a * b, perms)

@@ -7,11 +7,7 @@ from dataclasses import dataclass
 
 from .arith import crt, factorize
 from .errors import PreconditionError
-from .group import (
-    DEFAULT_CLASS_CAP,
-    DEFAULT_ENUMERATION_CAP,
-    PermutationGroup,
-)
+from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, is_ident, mul
 
 
@@ -106,7 +102,6 @@ def solvability_certificate(g: PermutationGroup) -> tuple[bool, int]:
 def solvable_radical(
     g: PermutationGroup,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
 ) -> PermutationGroup:
     """Largest solvable normal subgroup.
 
@@ -118,7 +113,7 @@ def solvable_radical(
     if is_solvable(g):
         return g
     radical = PermutationGroup(g.degree, [])
-    for rep, _size in g.class_representatives_tables(None, cap, class_cap):
+    for rep, _size in g.class_representatives_tables(None, cap):
         if radical.contains_table(rep):
             continue
         closure = g._normal_closure_tables([rep])

@@ -35,7 +35,7 @@ from .criteria import (
     member_two_element,
 )
 from .errors import CapExceededError, PreconditionError
-from .group import DEFAULT_CLASS_CAP, DEFAULT_ENUMERATION_CAP, PermutationGroup
+from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, format_cycles, table_order
 from .structure import solvable_radical
 
@@ -139,7 +139,6 @@ def verify_equivalence(
     g: PermutationGroup,
     name: str | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
     workers: int = 1,
 ) -> VerificationReport:
@@ -148,10 +147,10 @@ def verify_equivalence(
     report = VerificationReport(label, "method", "equivalence", STATUS_VERIFIED)
     t0 = time.perf_counter()
     try:
-        radical = solvable_radical(g, cap=cap, class_cap=class_cap)
+        radical = solvable_radical(g, cap=cap)
         items = [
             (cls.representative, cls.size)
-            for cls in g.class_representatives(cap=cap, class_cap=class_cap)
+            for cls in g.class_representatives(cap=cap)
         ]
         _WORK.update(group=g, radical=radical, pair_cap=pair_cap, cap=cap)
         checks = _pmap(_equivalence_task, items, workers)
@@ -183,7 +182,6 @@ def verify_cvl(
     socle_name: str,
     list_name: str,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
     workers: int = 1,
 ) -> VerificationReport:
@@ -204,9 +202,7 @@ def verify_cvl(
     try:
         items = [
             (cls.representative, cls.size)
-            for cls in real.group.class_representatives(
-                order_filter=lst.x_order, cap=cap, class_cap=class_cap
-            )
+            for cls in real.group.class_representatives(order_filter=lst.x_order, cap=cap)
         ]
         _WORK.update(
             group=real.group, socle=real.socle, constraint=constraint,
@@ -226,7 +222,6 @@ def verify_cvl(
 
 def verify_corpus(
     cap: int = DEFAULT_ENUMERATION_CAP,
-    class_cap: int = DEFAULT_CLASS_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
     workers: int = 1,
 ) -> list:
@@ -234,7 +229,7 @@ def verify_corpus(
     out = []
     for name in catalog.CORPUS:
         g = catalog.build_named(name)
-        out.append(verify_equivalence(g, name, cap, class_cap, pair_cap, workers))
+        out.append(verify_equivalence(g, name, cap, pair_cap, workers))
     return out
 
 

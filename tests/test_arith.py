@@ -8,7 +8,6 @@ import pytest
 from radlab.arith import (
     Factorization,
     crt,
-    distinct_prime_count,
     factorize,
     is_prime,
     p_part,
@@ -105,12 +104,6 @@ def test_is_prime_large_deterministic():
     assert not is_prime((2**31 - 1) * (2**31 + 11))
     assert is_prime(4585351703)  # verified by trial division
     assert not is_prime(4585351680 + 43)
-
-
-def test_distinct_prime_count():
-    assert distinct_prime_count(1) == 0
-    assert distinct_prime_count(64) == 1
-    assert distinct_prime_count(60) == 3
 
 
 def test_p_part():

@@ -623,3 +623,98 @@ def test_p_element_filter_matches_pow_table_stream():
                 t for t in g.tables() if t != ident and pow_table(t, pe, g.degree) == ident
             ]
             assert list(g.p_element_tables(p)) == expect, (name, p)
+
+
+def reference_class(g, t):
+    """Class BFS conjugating by every listed generator, as before the
+    generating pair: the member set conjugacy_class_tables must return."""
+    seen = {t}
+    queue = [t]
+    for y in queue:  # the list grows as it is read: breadth-first
+        for s, sinv in zip(g.gens, g.gen_invs):
+            z = mul(mul(sinv, y), s)
+            if z not in seen:
+                seen.add(z)
+                queue.append(z)
+    return seen
+
+
+def pair_test_groups(corpus):
+    wide = G(300, "(1 2 3 4 5 6)", "(1 2)", "(290 291 292)")
+    assert type(wide._ident) is tuple
+    groups = dict(corpus, wide=wide)
+    for socle in catalog._REALIZERS:
+        groups[socle + "/aut"] = catalog.cvl_realization(socle).group
+    assert len(groups) == len(catalog.CORPUS) + 1 + 12
+    return groups
+
+
+def assert_classes_match_reference(g, tables, label):
+    """Every class met in `tables` equals the reference class as a set."""
+    seen: set = set()
+    for t in tables:
+        if t in seen:
+            continue
+        members, size = g.conjugacy_class_tables(t)
+        expect = reference_class(g, t)
+        assert size == len(members) == len(expect), label
+        assert set(members) == expect, label
+        seen.update(members)
+
+
+def test_generating_pair_generates_the_group(corpus):
+    for name, g in pair_test_groups(corpus).items():
+        pair = g.generating_pair()
+        gens = [a for a, _ainv in pair]
+        assert 1 <= len(gens) <= 2, name
+        if len(g.gens) <= 2:
+            assert gens == g.gens, name
+        assert all(g.contains_table(a) for a in gens), name
+        assert all(mul(a, ainv) == g._ident for a, ainv in pair), name
+        # the certificate: the pair's subgroup has the order of the group
+        assert PermutationGroup(g.degree, [Perm(g.degree, a) for a in gens]).order == g.order
+        assert g.generating_pair() is pair  # cached
+    # seeded: a second build of a group finds the same pair
+    for name in ("S3xA5", "A5xA5", "PSL2_8"):
+        first = catalog.build_named(name).generating_pair()
+        assert first == catalog.build_named(name).generating_pair(), name
+
+
+def test_pair_classes_match_listed_generator_classes(corpus):
+    for name, g in pair_test_groups(corpus).items():
+        # every class of the group; the larger ones below
+        if g.order <= 20_000:
+            assert_classes_match_reference(g, g.tables(), name)
+    # on the larger realizations a full reference sweep takes about 12 s, so
+    # these check the classes that verify_cvl lists, on all 19 runnable pairs
+    for label, g, p in cvl_runnable_groups():
+        reps = [t for t, _size in g.class_representatives_tables(p, cap=260_000)]
+        assert_classes_match_reference(g, reps, label)
+
+
+def test_generating_pair_falls_back_to_listed_generators():
+    # C2^3 and S3 x C2 x C2 need three generators, so no pair can pass
+    c2_cubed = G(6, "(1 2)", "(3 4)", "(5 6)")
+    s3_c2_c2 = G(7, "(1 2 3)", "(1 2)", "(4 5)", "(6 7)")
+    for g in (c2_cubed, s3_c2_c2):
+        assert [a for a, _ainv in g.generating_pair()] == g.gens
+        assert_classes_match_reference(g, g.tables(), g.gens)
+    assert len(c2_cubed.class_representatives()) == 8
+    assert sorted(c.size for c in s3_c2_c2.class_representatives()) == [1] * 4 + [2] * 4 + [3] * 4
+    # a budget of 0 draws falls back too, and the class lists are unchanged
+    for name in ("S3xA5", "A5xA5", "PGL2_7"):
+        expect = list(catalog.build_named(name).class_representatives_tables())
+        g = catalog.build_named(name)
+        assert len(g.gens) > 2
+        assert [a for a, _ainv in g.generating_pair(budget=0)] == g.gens
+        assert list(g.class_representatives_tables()) == expect, name
+        assert [a for a, _ainv in g.generating_pair()] == g.gens  # cached
+
+
+def test_generating_pair_cleared_on_growth():
+    h = G(5, "(1 2 3)")
+    assert [a for a, _ainv in h.generating_pair()] == h.gens
+    assert h._adopt(Perm.from_cycles("(3 4 5)", 5).t)
+    assert h._pair is None
+    assert PermutationGroup(5, [Perm(5, a) for a, _ainv in h.generating_pair()]).order == 60
+    assert h.conjugacy_class_tables(Perm.from_cycles("(1 2 3)", 5).t)[1] == 20

@@ -11,7 +11,6 @@ from radlab.perm import (
     format_cycles,
     min_moved,
     parse_cycles,
-    perm_product,
     table_order,
 )
 
@@ -170,13 +169,3 @@ def test_table_order_matches_perm_order():
         images = list(range(degree)); rng.shuffle(images)
         p = Perm.from_images(images, degree)
         assert table_order(p.t, degree) == p.order()
-
-
-def test_perm_product():
-    ps = [Perm.from_cycles(s, 6) for s in ["(1 2)", "(2 3)", "(3 4)"]]
-    acc = Perm.identity(6)
-    for p in ps:
-        acc = acc * p
-    assert perm_product(ps) == acc
-    with pytest.raises(TypeError):
-        perm_product([])
