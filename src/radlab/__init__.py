@@ -47,10 +47,9 @@ from .structure import (
     TwoPartSplit,
     derived_series,
     derived_subgroup,
-    is_solvable,
     p_elements,
     primary_decomposition,
-    solvability_certificate,
+    solvability,
     solvable_radical,
     two_part_split,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "generating_triple",
     "group_from_cycles",
     "is_prime",
-    "is_solvable",
     "load_group_file",
     "member_b1",
     "member_combined",
@@ -110,7 +108,7 @@ __all__ = [
     "primary_decomposition",
     "primitive_prime_divisor",
     "save_group_file",
-    "solvability_certificate",
+    "solvability",
     "solvable_radical",
     "two_part_split",
     "verify_corpus",

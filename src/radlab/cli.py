@@ -61,15 +61,6 @@ class RunConfig:
     output_path: str | None = None
 
 
-_METHODS = {
-    "b1": METHOD_B1,
-    "oddp": METHOD_ODD_P,
-    "odd-p": METHOD_ODD_P,
-    "two-element": METHOD_TWO_ELEMENT,
-    "two": METHOD_TWO_ELEMENT,
-    "combined": METHOD_COMBINED,
-}
-
 _MEMBER_FNS = {
     METHOD_B1: member_b1,
     METHOD_ODD_P: member_oddp,
@@ -111,11 +102,11 @@ def _cmd_order(args, cfg: RunConfig) -> int:
 
 
 def _cmd_radical(args, cfg: RunConfig) -> int:
-    method = _METHODS[args.method] if args.method != "oracle" else "oracle"
+    method = args.method
     if method == METHOD_TWO_ELEMENT:
         raise PreconditionError(
             "the two-element criterion applies only to x of odd prime-power order, "
-            "so it cannot generate R(G) by itself; use oracle, b1, oddp or combined"
+            "so it cannot generate R(G) by itself; use oracle, b1, odd-p or combined"
         )
     g = _load_target(args.group)
     name = g.name or args.group
@@ -151,7 +142,7 @@ def _cmd_member(args, cfg: RunConfig) -> int:
     g = _load_target(args.group)
     name = g.name or args.group
     x = Perm(g.degree, parse_cycles(args.element, g.degree))
-    method = _METHODS[args.method]
+    method = args.method
     v = _MEMBER_FNS[method](g, x, cfg.pair_cap, cfg.enumeration_cap)
     _, size = g.conjugacy_class_tables(x.t)
     if v.member:
@@ -242,14 +233,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the solvable radical")
     p.add_argument("group")
     p.add_argument("--method", default="oracle",
-                   choices=["oracle", "b1", "oddp", "odd-p", "combined", "two-element", "two"])
+                   choices=["oracle", *_MEMBER_FNS])
 
     p = sub.add_parser("member", parents=[common],
                        help="decide membership in the solvable radical")
     p.add_argument("group")
     p.add_argument("element", help="element in cycle notation, e.g. '(1 2 3)'")
-    p.add_argument("--method", default="combined",
-                   choices=["b1", "oddp", "odd-p", "combined", "two-element", "two"])
+    p.add_argument("--method", default=METHOD_COMBINED,
+                   choices=list(_MEMBER_FNS))
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification harness")

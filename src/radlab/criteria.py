@@ -11,9 +11,10 @@ criteria is that far smaller y-sets already decide membership:
                against odd-prime p-elements, and each odd primary component
                of x2' against 2-elements; together these decide x.
 
-A false verdict always carries a Witness: a concrete y with <x', y> not
-solvable (x' is x or the primary component that failed), re-checkable from
-its fields alone.
+Every pair <x, y> is decided by structure.solvability, the descent that
+also answers the radical oracle. A false verdict always carries a Witness: a
+concrete y with <x', y> not solvable (x' is x or the primary component that
+failed), re-checkable from its fields alone.
 
 All loops are deterministic. Exhaustive phases skip y when an earlier tested
 y' already covers it: once H = <x, y'> is found solvable, every element of H
@@ -48,7 +49,7 @@ from .arith import factorize
 from .errors import CapExceededError, MembershipError, PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, inv, is_ident, mul, pow_table, table_order
-from .structure import derived_subgroup, primary_decomposition, two_part_split
+from .structure import primary_decomposition, solvability, two_part_split
 
 DEFAULT_PAIR_CAP = 10_000_000
 
@@ -89,27 +90,12 @@ class MembershipVerdict:
 
 
 def _pair_solvable(degree: int, a, b) -> tuple[bool, int, int, PermutationGroup]:
-    """(solvable, subgroup_order, derived_steps, pair_subgroup) for <a, b>.
-
-    Solvable exits may use sufficient conditions (cyclic generation, at most
-    two distinct prime divisors of a term's order); a nonsolvable exit always
-    comes from an honestly stabilized descent, so derived_steps is exact.
-    """
+    """(solvable, subgroup_order, derived_steps, pair_subgroup) for <a, b>,
+    decided by structure.solvability: derived_steps is exact when not
+    solvable."""
     pg = PermutationGroup(degree, [Perm(degree, a), Perm(degree, b)])
-    order = pg.order
-    if len(pg.gens) <= 1:
-        return True, order, 0, pg
-    h = pg
-    steps = 0
-    while True:
-        o = h.order
-        if o == 1 or len(factorize(o)) <= 2:
-            return True, order, steps, pg
-        d = derived_subgroup(h)
-        if d.order == o:
-            return False, order, steps, pg
-        h = d
-        steps += 1
+    solvable, steps = solvability(pg)
+    return solvable, pg.order, steps, pg
 
 
 def _prime_of_order(o: int) -> int | None:
@@ -344,8 +330,7 @@ def member_two_element(
     every 2-element y."""
     _require_member(g, x)
     o = x.order()
-    f = factorize(o).pairs
-    if len(f) != 1 or f[0][0] == 2:
+    if _prime_of_order(o) in (None, 2):
         raise PreconditionError(
             f"x must be a p-element for an odd prime, but o(x) = {o}"
         )
@@ -427,10 +412,8 @@ def witness_is_valid(
     solvable, order, steps, _h = _pair_solvable(w.x.degree, w.x.t, w.y.t)
     if solvable or order != w.subgroup_order or steps != w.derived_steps:
         return False
-    if w.prime is not None:
-        f = factorize(w.y.order()).pairs
-        if len(f) != 1 or f[0][0] != w.prime:
-            return False
+    if w.prime is not None and _prime_of_order(w.y.order()) != w.prime:
+        return False
     if ambient is not None and not ambient.contains(w.x):
         return False
     if y_domain is not None and not y_domain.contains(w.y):

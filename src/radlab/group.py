@@ -50,7 +50,6 @@ from .perm import (
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
-DEFAULT_CLASS_CAP = 100_000
 # tables() folds the deepest chain levels into one list of at most this many
 # elements, so the fold stays small (512 byte tables take about 150 kB).
 TAIL_LIMIT = 512
@@ -378,8 +377,8 @@ class PermutationGroup:
             self._pair = [(g, inv(g, self.degree)) for g in gens]
         return self._pair
 
-    def conjugacy_class_tables(self, t, class_cap: int = DEFAULT_CLASS_CAP):
-        """(members_in_BFS_order, size). Members list is None above the cap.
+    def conjugacy_class_tables(self, t):
+        """(members_in_BFS_order, size).
 
         The BFS conjugates by generating_pair(), not by every listed
         generator. The class is the same set under any generating set; only
@@ -398,17 +397,16 @@ class PermutationGroup:
                 if z not in seen:
                     seen.add(z)
                     queue.append(z)
-        size = len(queue)
-        return (queue if size <= class_cap else None), size
+        return queue, len(queue)
 
-    def conjugacy_class(self, x: Perm, class_cap: int = DEFAULT_CLASS_CAP) -> "ConjugacyClass":
+    def conjugacy_class(self, x: Perm) -> "ConjugacyClass":
         if not self.contains(x):
             raise MembershipError(f"{x.cycles()} is not an element of the group")
-        members, size = self.conjugacy_class_tables(x.t, class_cap)
+        members, size = self.conjugacy_class_tables(x.t)
         return ConjugacyClass(
             representative=x,
             size=size,
-            members=None if members is None else tuple(Perm(self.degree, t) for t in members),
+            members=tuple(Perm(self.degree, t) for t in members),
         )
 
     def class_representatives_tables(
@@ -453,7 +451,7 @@ class PermutationGroup:
         for t in tables:
             if t in seen:
                 continue
-            members, size = self.conjugacy_class_tables(t, class_cap=1 << 62)
+            members, size = self.conjugacy_class_tables(t)
             seen.update(members)
             out.append((t, size))
         return out
@@ -470,7 +468,7 @@ class PermutationGroup:
         for t in sylow.tables(sylow.order):
             if t in seen or not has_order_p(t):
                 continue
-            members, size = self.conjugacy_class_tables(t, class_cap=1 << 62)
+            members, size = self.conjugacy_class_tables(t)
             seen.update(members)
             key, rep = self._chain_least(members)
             found.append((key, rep, size))
@@ -649,7 +647,7 @@ class _FilledStream:
 
 
 class ConjugacyClass:
-    """A conjugacy class: representative, exact size, optional member list."""
+    """A conjugacy class: representative, exact size, member list."""
 
     __slots__ = ("representative", "size", "members")
 

@@ -1,11 +1,15 @@
 """Structural computations: derived series, solvability, solvable radical,
-p-elements, primary decomposition, and 2-part/2'-part splitting."""
+p-elements, primary decomposition, and 2-part/2'-part splitting.
+
+Every solvability answer comes from one lazy descent, _descent: the honest
+derived_series consumes all of it, and solvability stops it at the first
+sufficient exit, so no derived subgroup is computed past a verdict."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import crt, factorize
+from .arith import crt, factorize, is_prime
 from .errors import PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, is_ident, mul
@@ -32,6 +36,20 @@ def derived_subgroup(g: PermutationGroup) -> PermutationGroup:
     return g._normal_closure_tables(_commutator_tables(g))
 
 
+def _descent(g: PermutationGroup):
+    """Lazily yield G, G', G'', ...: stops after a trivial term or after the
+    first term whose order equals its predecessor's. The only loop over
+    derived_subgroup; a consumer that stops early computes no further term."""
+    h = g
+    yield h
+    while h.order != 1:
+        d = derived_subgroup(h)
+        yield d
+        if d.order == h.order:
+            return
+        h = d
+
+
 @dataclass(frozen=True)
 class DerivedSeries:
     """Derived series until trivial (solvable) or stabilized (not solvable)."""
@@ -51,52 +69,32 @@ class DerivedSeries:
 
 def derived_series(g: PermutationGroup) -> DerivedSeries:
     """Full honest series: keeps descending until trivial or stabilized."""
-    terms = [g]
-    while True:
-        h = terms[-1]
-        if h.order == 1:
-            return DerivedSeries(tuple(terms), True)
-        d = derived_subgroup(h)
-        terms.append(d)
-        if d.order == h.order:
-            return DerivedSeries(tuple(terms), False)
+    terms = tuple(_descent(g))
+    return DerivedSeries(terms, terms[-1].order == 1)
 
 
-def is_solvable(g: PermutationGroup) -> bool:
-    """Solvability of the group.
+def solvability(g: PermutationGroup) -> tuple[bool, int]:
+    """(solvable, steps), steps the strict descents taken before the exit.
 
-    Fast sufficient conditions first (trivial or cyclic generation, order with
-    at most two distinct prime divisors), then a derived descent that stops as
-    soon as a term stabilizes or its order drops to two prime divisors (such
-    orders are always solvable). Tests cross-check against the full series.
+    Solvable exits may use sufficient conditions (at most one generator, a
+    term whose order has at most two distinct prime divisors, by Burnside's
+    p^a q^b theorem); a nonsolvable exit always comes from an honestly
+    stabilized descent, so its steps are exact: two fewer than the terms of
+    derived_series(g).
     """
     if len(g.gens) <= 1:
-        return True
-    h = g
-    while True:
+        return True, 0
+    steps = -1
+    prev = 0
+    for h in _descent(g):
         o = h.order
-        if o == 1 or len(factorize(o)) <= 2:
-            return True
-        d = derived_subgroup(h)
-        if d.order == o:
-            return False
-        h = d
-
-
-def solvability_certificate(g: PermutationGroup) -> tuple[bool, int]:
-    """(solvable, steps) where steps counts strict descents until the series
-    went trivial or stabilized. Unlike is_solvable this always runs the honest
-    descent, so nonsolvable verdicts carry the true stabilization depth."""
-    steps = 0
-    h = g
-    while True:
-        if h.order == 1:
-            return True, steps
-        d = derived_subgroup(h)
-        if d.order == h.order:
-            return False, steps
-        h = d
+        if o == prev:
+            break
         steps += 1
+        if o == 1 or len(factorize(o)) <= 2:
+            return True, steps
+        prev = o
+    return False, steps
 
 
 def solvable_radical(
@@ -110,14 +108,14 @@ def solvable_radical(
     qualifying classes. Class representatives suffice (the closure is a class
     invariant).
     """
-    if is_solvable(g):
+    if solvability(g)[0]:
         return g
     radical = PermutationGroup(g.degree, [])
     for rep, _size in g.class_representatives_tables(None, cap):
         if radical.contains_table(rep):
             continue
         closure = g._normal_closure_tables([rep])
-        if is_solvable(closure):
+        if solvability(closure)[0]:
             for t in closure.gens:
                 radical._adopt(t)
     return radical
@@ -127,7 +125,7 @@ def p_elements(
     g: PermutationGroup, p: int, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> list[Perm]:
     """All nonidentity elements of p-power order, in enumeration order."""
-    if not factorize(p).pairs == ((p, 1),):
+    if not is_prime(p):
         raise PreconditionError(f"{p} is not prime")
     return [Perm(g.degree, t) for t in g.p_element_tables(p, cap)]
 

@@ -21,13 +21,13 @@ import time
 from dataclasses import dataclass, field
 
 from . import catalog
-from .arith import factorize
 from .criteria import (
     CONSTRAINT_ODD_P,
     CONSTRAINT_TWO_ELEMENT,
     DEFAULT_PAIR_CAP,
     MembershipVerdict,
     Witness,
+    _prime_of_order,
     find_witness,
     member_b1,
     member_combined,
@@ -122,8 +122,7 @@ def _equivalence_task(item) -> CheckResult:
         member_combined(g, x, pair_cap, cap),
     ]
     xo = x.order()
-    fo = factorize(xo).pairs
-    if len(fo) == 1 and fo[0][0] != 2:
+    if _prime_of_order(xo) not in (None, 2):
         verdicts.append(member_two_element(g, x, pair_cap, cap))
     agreed = all(v.member == oracle for v in verdicts)
     witness = None

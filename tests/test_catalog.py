@@ -32,7 +32,7 @@ from radlab.catalog import (
 from radlab.errors import OrderMismatchError, PreconditionError
 from radlab.group import PermutationGroup
 from radlab.perm import Perm
-from radlab.structure import derived_series, is_solvable
+from radlab.structure import derived_series, solvability
 
 # classical orders, frozen from the standard product formulas
 KNOWN_ORDERS = {
@@ -166,7 +166,7 @@ def test_semilinear_socle_is_normal():
 def test_sl2_3_vector_action():
     g = sl2_3_on_vectors()
     assert g.degree == 8 and g.order == 24
-    assert is_solvable(g)
+    assert solvability(g)[0]
     assert derived_series(g).orders == (24, 8, 2, 1)
 
 

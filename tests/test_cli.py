@@ -104,8 +104,8 @@ def test_radical_criterion_with_report(tmp_path, capsys):
     assert len(d["checks"]) == 5
 
 
-# every --method that radical accepts; two-element/two are refused below
-RADICAL_METHODS = ("oracle", "b1", "oddp", "odd-p", "combined")
+# every --method that radical accepts; two-element is refused below
+RADICAL_METHODS = ("oracle", "b1", "odd-p", "combined")
 
 
 def test_radical_methods_match_oracle(corpus, capsys):
@@ -119,10 +119,18 @@ def test_radical_methods_match_oracle(corpus, capsys):
 def test_radical_refuses_two_element(capsys):
     # the criterion decides only x of odd prime-power order, so the 2-elements
     # of R(S3 x A5) = S3 would never enter the normal closure
-    for method in ("two-element", "two"):
-        code, out, err = run(["radical", "S3xA5", "--method", method], capsys)
-        assert code == 2 and not out
-        assert len(err.strip().splitlines()) == 1 and "odd prime-power" in err
+    code, out, err = run(["radical", "S3xA5", "--method", "two-element"], capsys)
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1 and "odd prime-power" in err
+
+
+def test_method_spellings_are_the_library_strings(capsys):
+    # one spelling per method: the former aliases are unrecognized choices
+    for alias in ("oddp", "two"):
+        code, out, err = run(["radical", "S4", "--method", alias], capsys)
+        assert code == 2 and not out and "invalid choice" in err
+        code, out, err = run(["member", "S4", "(1 2 3)", "--method", alias], capsys)
+        assert code == 2 and not out and "invalid choice" in err
 
 
 def test_member_positive(capsys):
@@ -140,7 +148,7 @@ def test_member_negative_prints_witness(capsys):
 
 def test_member_method_precondition(capsys):
     # two-element demands an odd primary element
-    code, _, err = run(["member", "A5", "(1 2)(3 4)", "--method", "two"], capsys)
+    code, _, err = run(["member", "A5", "(1 2)(3 4)", "--method", "two-element"], capsys)
     assert code == 2 and err
 
 

@@ -33,9 +33,9 @@ from radlab.errors import CapExceededError, MembershipError, PreconditionError
 from radlab.group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from radlab.perm import Perm
 from radlab.structure import (
-    is_solvable,
+    derived_series,
     primary_decomposition,
-    solvability_certificate,
+    solvability,
     solvable_radical,
     two_part_split,
 )
@@ -200,7 +200,7 @@ def test_find_witness_constraints(corpus):
     assert w.prime in (3, 5) and w.y.order() % 2 == 1
     w = find_witness(a5, Perm.from_cycles("(1 2 3)", 5), CONSTRAINT_TWO_ELEMENT)
     assert w.prime == 2 and w.y.order() == 2
-    assert not is_solvable(PermutationGroup(5, [w.x, w.y]))
+    assert not solvability(PermutationGroup(5, [w.x, w.y]))[0]
     assert w.subgroup_order == 60  # the only nonsolvable subgroup of A5
 
 
@@ -224,7 +224,7 @@ def test_find_witness_first_hit_contract(corpus):
         found = None
         for p in primes:
             for yt in a5.p_element_tables(p):
-                if not is_solvable(PermutationGroup(5, [x, Perm(5, yt)])):
+                if not solvability(PermutationGroup(5, [x, Perm(5, yt)]))[0]:
                     found = (p, Perm(5, yt))
                     break
             if found:
@@ -333,10 +333,9 @@ def rescan_witness(g, x, constraint):
         for yt in g.p_element_tables(p):
             y = Perm(n, yt)
             h = PermutationGroup(n, [x, y])
-            if not is_solvable(h):
-                solvable, steps = solvability_certificate(h)
-                assert not solvable
-                return Witness(x, y, p, h.order, steps)
+            series = derived_series(h)
+            if not series.solvable:
+                return Witness(x, y, p, h.order, len(series.terms) - 2)
     return None
 
 
@@ -374,7 +373,7 @@ class ReferenceScan:
 
     def solvable(self, xt, yt):
         self.tested += 1
-        return is_solvable(PermutationGroup(self.n, [Perm(self.n, xt), Perm(self.n, yt)]))
+        return solvability(PermutationGroup(self.n, [Perm(self.n, xt), Perm(self.n, yt)]))[0]
 
     def exhaust(self, xt, ys):
         covered = set()

@@ -8,17 +8,16 @@ import random
 
 import pytest
 
-from radlab import catalog
+from radlab import catalog, structure
 from radlab.errors import PreconditionError
 from radlab.group import PermutationGroup
 from radlab.perm import Perm
 from radlab.structure import (
     derived_series,
     derived_subgroup,
-    is_solvable,
     p_elements,
     primary_decomposition,
-    solvability_certificate,
+    solvability,
     solvable_radical,
     two_part_split,
 )
@@ -78,24 +77,50 @@ def test_derived_subgroup_of_abelian_is_trivial():
     assert derived_subgroup(catalog.cyclic(12)).order == 1
 
 
-def test_is_solvable_known_values():
-    assert is_solvable(catalog.cyclic(6))
-    assert is_solvable(catalog.symmetric(4))
-    assert not is_solvable(catalog.alternating(5))
+def test_solvability_known_values():
+    # nonsolvable steps count the strict descents before stabilizing; S4's
+    # derived length 3 is pinned by test_derived_series_s4
+    assert solvability(catalog.alternating(5)) == (False, 0)
+    assert solvability(catalog.symmetric(5)) == (False, 1)
+    assert solvability(PermutationGroup(2, [])) == (True, 0)
+    assert solvability(catalog.cyclic(6))[0]
+    assert solvability(catalog.symmetric(4))[0]
+
+
+def test_solvability_agrees_with_derived_series(corpus):
+    # the shortcut exits never change the verdict, and a nonsolvable exit
+    # reports the honest series' depth: its last term repeats the one before
+    for name, g in corpus.items():
+        solvable, steps = solvability(g)
+        series = derived_series(g)
+        assert solvable == series.solvable, name
+        if not solvable:
+            assert steps == len(series.terms) - 2, name
+
+
+def test_solvability_computes_no_term_past_its_exit(monkeypatch):
+    orders = []
+
+    def counted(h):
+        orders.append(h.order)
+        return derived_subgroup(h)
+
+    monkeypatch.setattr(structure, "derived_subgroup", counted)
+    for g, expect in [
+        (catalog.symmetric(4), []),  # |S4| = 2^3 * 3 exits before any descent
+        (catalog.alternating(5), [60]),
+        (catalog.symmetric(5), [120, 60]),
+    ]:
+        orders.clear()
+        solvability(g)
+        assert orders == expect, g.order
 
 
 def test_is_solvable_matches_brute_oracle(small_corpus):
     for name, g in small_corpus.items():
         if g.order > 720:
             continue  # the quadratic oracle gets slow past this
-        assert is_solvable(g) == brute_is_solvable(g), name
-
-
-def test_solvability_certificate_runs_honest_descent():
-    assert solvability_certificate(catalog.symmetric(4)) == (True, 3)
-    assert solvability_certificate(catalog.alternating(5)) == (False, 0)
-    assert solvability_certificate(catalog.symmetric(5)) == (False, 1)
-    assert solvability_certificate(PermutationGroup(2, [])) == (True, 0)
+        assert solvability(g)[0] == brute_is_solvable(g), name
 
 
 def test_radical_of_solvable_group_is_itself():
@@ -135,7 +160,7 @@ def test_radical_membership_characterization(small_corpus):
         r = solvable_radical(g)
         for _ in range(20):
             x = g.random_element(rng)
-            closure_solvable = is_solvable(g.normal_closure([x]))
+            closure_solvable = derived_series(g.normal_closure([x])).solvable
             assert r.contains(x) == closure_solvable, (name, x.cycles())
 
 
@@ -144,7 +169,7 @@ def test_radical_is_normal_and_solvable(small_corpus):
         if g.order > 8000:
             continue
         r = solvable_radical(g)
-        assert is_solvable(r), name
+        assert derived_series(r).solvable, name
         for x in r.generators:
             for s in g.generators:
                 assert r.contains(s.inverse() * x * s), name
