@@ -19,28 +19,20 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import catalog
-from .criteria import (
-    DEFAULT_PAIR_CAP,
-    METHOD_B1,
-    METHOD_COMBINED,
-    METHOD_ODD_P,
-    METHOD_TWO_ELEMENT,
-    member_b1,
-    member_combined,
-    member_oddp,
-    member_two_element,
-)
+from .criteria import DEFAULT_PAIR_CAP, METHOD_COMBINED, METHOD_TWO_ELEMENT
 from .errors import CapExceededError, PreconditionError, RadlabError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, format_cycles, parse_cycles
 from .structure import solvable_radical
 from .verify import (
+    MEMBER_FNS,
     STATUS_CAPPED,
     STATUS_COUNTEREXAMPLE,
     STATUS_OUT_OF_SCALE,
     STATUS_VERIFIED,
     CheckResult,
     VerificationReport,
+    radical_by_method,
     reports_to_json,
     verify_corpus,
     verify_cvl,
@@ -59,14 +51,6 @@ class RunConfig:
     pair_cap: int = DEFAULT_PAIR_CAP
     workers: int = 1
     output_path: str | None = None
-
-
-_MEMBER_FNS = {
-    METHOD_B1: member_b1,
-    METHOD_ODD_P: member_oddp,
-    METHOD_TWO_ELEMENT: member_two_element,
-    METHOD_COMBINED: member_combined,
-}
 
 
 def _load_target(target: str) -> PermutationGroup:
@@ -111,28 +95,18 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
     g = _load_target(args.group)
     name = g.name or args.group
     t0 = time.perf_counter()
+    report = None
     if method == "oracle":
         rad = solvable_radical(g, cap=cfg.enumeration_cap)
-        checks = []
     else:
-        fn = _MEMBER_FNS[method]
-        member_reps = []
-        checks = []
-        for cls in g.class_representatives(cap=cfg.enumeration_cap):
-            x = cls.representative
-            v = fn(g, x, cfg.pair_cap, cfg.enumeration_cap)
-            checks.append(CheckResult(format_cycles(x.t, g.degree), x.order(),
-                                      cls.size, v.member, v.witness, True))
-            if v.member:
-                member_reps.append(x)
-        rad = g.normal_closure(member_reps) if member_reps else g.subgroup([])
+        rad, report = radical_by_method(
+            g, method, name, cfg.enumeration_cap, cfg.pair_cap, cfg.workers
+        )
     elapsed = int((time.perf_counter() - t0) * 1000)
     gens = ", ".join(format_cycles(p.t, g.degree) for p in rad.generators) or "()"
     print(f"{name}: radical order {rad.order} ({elapsed} ms)")
     print(f"generators: {gens}")
-    if checks or method != "oracle":
-        report = VerificationReport(name, "method", method, STATUS_VERIFIED)
-        report.checks = sorted(checks, key=lambda c: (c.x_order, c.x_text))
+    if report is not None:
         report.elapsed_ms = elapsed
         _write_reports(cfg, [report])
     return EXIT_OK
@@ -143,7 +117,7 @@ def _cmd_member(args, cfg: RunConfig) -> int:
     name = g.name or args.group
     x = Perm(g.degree, parse_cycles(args.element, g.degree))
     method = args.method
-    v = _MEMBER_FNS[method](g, x, cfg.pair_cap, cfg.enumeration_cap)
+    v = MEMBER_FNS[method](g, x, cfg.pair_cap, cfg.enumeration_cap)
     _, size = g.conjugacy_class_tables(x.t)
     if v.member:
         print(f"{args.element} is in the solvable radical of {name} "
@@ -233,14 +207,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="compute the solvable radical")
     p.add_argument("group")
     p.add_argument("--method", default="oracle",
-                   choices=["oracle", *_MEMBER_FNS])
+                   choices=["oracle", *MEMBER_FNS])
 
     p = sub.add_parser("member", parents=[common],
                        help="decide membership in the solvable radical")
     p.add_argument("group")
     p.add_argument("element", help="element in cycle notation, e.g. '(1 2 3)'")
     p.add_argument("--method", default=METHOD_COMBINED,
-                   choices=list(_MEMBER_FNS))
+                   choices=list(MEMBER_FNS))
 
     p = sub.add_parser("verify", parents=[common],
                        help="run a verification harness")

@@ -19,9 +19,13 @@ failed), re-checkable from its fields alone.
 All loops are deterministic. Exhaustive phases skip y when an earlier tested
 y' already covers it: once H = <x, y'> is found solvable, every element of H
 is covered, because y in H gives <x, y> <= H, and a subgroup of a solvable
-group is solvable. Only solvable pairs are ever skipped, so the first
-nonsolvable y in enumeration order is tested and found as without the skip.
-H is enumerated under the scan's cap; a larger H covers nothing. A cheap
+group is solvable. H is enumerated under the scan's cap; a larger H covers
+nothing. The centralizer rule covers more: for a strong generator c of the
+scanned group that commutes with x, <x, y^c> = <x, y>^c, so y is covered
+when y^c or y^(c^-1) is. It is checked lazily, on each streamed y, against
+the commuting strong generators listed once per loop. Only solvable pairs
+are ever skipped, so the first nonsolvable y in enumeration order is tested
+and found as without either skip; pairs_tested can only fall. A cheap
 deterministic probe (built from strong generators) runs before exhaustive
 member_* loops to find witnesses early: once per checked element, because
 its candidates (2-elements, or elements of any odd prime-power order) do not
@@ -32,13 +36,14 @@ Scan outcomes are memoized on the group whose p-elements are scanned (the
 domain, for find_witness), in PermutationGroup._scan_cache. A probe is keyed
 by (checked table, kind) and one prime's exhaustive loop by (checked table,
 p, cap): its outcome depends on nothing else, because the cap decides which
-pair subgroups may be enumerated for coverage. An entry holds the pairs the
-scan tested and its first nonsolvable y with the prime, subgroup order and
-derived steps, or no hit. Only finished loops are stored, and the memo is
-cleared with the p-element cache whenever the group grows. A hit replays the
-stored pair count, so pairs_tested, the witness and the pair-cap error are
-those of a fresh scan whatever was asked before: the cap fires when the loop
-counted any pair and the running count exceeds it.
+pair subgroups may be enumerated for coverage, and the commuting strong
+generators depend only on the group and the checked table. An entry holds
+the pairs the scan tested and its first nonsolvable y with the prime,
+subgroup order and derived steps, or no hit. Only finished loops are
+stored, and the memo is cleared with the p-element cache whenever the group
+grows. A hit replays the stored pair count, so pairs_tested, the witness and
+the pair-cap error are those of a fresh scan whatever was asked before: the
+cap fires when the loop counted any pair and the running count exceeds it.
 """
 
 from __future__ import annotations
@@ -128,13 +133,8 @@ def _probe_tables(g: PermutationGroup, xt, prime_kind) -> list:
     prime_kind "odd"/2/p: the matching primary components of those elements.
     """
     n = g.degree
-    base: list = []
-    strong = []
-    for lvl in g._levels:
-        for t in lvl.gens:
-            if t not in strong:
-                strong.append(t)
-    base.extend(strong)
+    strong = g.strong_tables()
+    base: list = list(strong)
     for s in strong:
         base.append(mul(mul(inv(s, n), xt), s))
     for i, s in enumerate(strong[:6]):
@@ -171,6 +171,32 @@ def _coverage(h: PermutationGroup, cap: int) -> list:
     return list(h.tables(cap))
 
 
+def _untested(g: PermutationGroup, checked, ys, covered: set):
+    """The y of ys that still need a pair test against checked, in order.
+
+    A y in covered is skipped. So is a y with y^c or y^(c^-1) in covered for
+    a strong generator c of g that commutes with checked: then
+    <checked, y> = <checked, y^(c^-1)>^c is a conjugate of a solvable pair
+    subgroup. Such a y joins covered untested. The caller adds the coverage
+    of every solvable pair it tests.
+    """
+    compose = g._mul
+    cent = [
+        (c, inv(c, g.degree))
+        for c in g.strong_tables()
+        if compose(c, checked) == compose(checked, c)
+    ]
+    for yt in ys:
+        if yt in covered:
+            continue
+        for c, ci in cent:
+            if compose(compose(ci, yt), c) in covered or compose(compose(c, yt), ci) in covered:
+                covered.add(yt)
+                break
+        else:
+            yield yt
+
+
 def _require_member(g: PermutationGroup, x: Perm) -> None:
     if x.degree != g.degree or not g.contains(x):
         raise MembershipError(f"{x.cycles()} is not an element of the group")
@@ -196,10 +222,9 @@ def member_b1(
         if not solvable:
             w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
             return MembershipVerdict(x, METHOD_B1, False, w, tested)
-    covered: set = set()
-    for yt in g.tables(cap):
-        if is_ident(yt) or yt in covered:
-            continue
+    # <x, 1> is cyclic, so the identity is covered from the start
+    covered = {g._ident}
+    for yt in _untested(g, xt, g.tables(cap), covered):
         tested += 1
         if tested > pair_cap:
             raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
@@ -257,9 +282,7 @@ def _exhaust(g: PermutationGroup, checked, primes, cap: int, budget: int):
             count = 0
             hit = None
             covered: set = set()
-            for yt in g.p_element_tables(p, cap):
-                if yt in covered:
-                    continue
+            for yt in _untested(g, checked, g.p_element_tables(p, cap), covered):
                 count += 1
                 if count > left:
                     return None

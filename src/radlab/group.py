@@ -243,15 +243,12 @@ class PermutationGroup:
     def generators(self) -> list[Perm]:
         return [Perm(self.degree, t) for t in self.gens]
 
+    def strong_tables(self) -> list:
+        """Distinct strong generator tables, in level order."""
+        return list(dict.fromkeys(t for lvl in self._levels for t in lvl.gens))
+
     def strong_generators(self) -> list[Perm]:
-        out = []
-        seen = set()
-        for lvl in self._levels:
-            for t in lvl.gens:
-                if t not in seen:
-                    seen.add(t)
-                    out.append(Perm(self.degree, t))
-        return out
+        return [Perm(self.degree, t) for t in self.strong_tables()]
 
     # -- element enumeration ---------------------------------------------------
 

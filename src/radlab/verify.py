@@ -4,7 +4,8 @@ Two harnesses: verify_equivalence checks, on one group, that all membership
 criteria agree with an independently computed solvable radical on every
 conjugacy class representative; verify_cvl checks, for a named almost-simple
 group, that every class representative of the stated order in Aut(G0) has a
-restricted witness inside the socle.
+restricted witness inside the socle. radical_by_method runs one criterion
+over the same per-class loop and closes the members it finds into R(G).
 
 Reports serialize to a canonical JSON form (sorted keys, fixed indentation,
 checks ordered by element order then cycle text) so that repeated runs and
@@ -25,6 +26,10 @@ from .criteria import (
     CONSTRAINT_ODD_P,
     CONSTRAINT_TWO_ELEMENT,
     DEFAULT_PAIR_CAP,
+    METHOD_B1,
+    METHOD_COMBINED,
+    METHOD_ODD_P,
+    METHOD_TWO_ELEMENT,
     MembershipVerdict,
     Witness,
     _prime_of_order,
@@ -43,6 +48,13 @@ STATUS_VERIFIED = "verified"
 STATUS_COUNTEREXAMPLE = "counterexample"
 STATUS_OUT_OF_SCALE = "out-of-desk-scale"
 STATUS_CAPPED = "capped"
+
+MEMBER_FNS = {
+    METHOD_B1: member_b1,
+    METHOD_ODD_P: member_oddp,
+    METHOD_TWO_ELEMENT: member_two_element,
+    METHOD_COMBINED: member_combined,
+}
 
 
 @dataclass(frozen=True)
@@ -109,6 +121,22 @@ def _pmap(fn, items: list, workers: int) -> list:
         return pool.map(fn, items)
 
 
+def _class_checks(g: PermutationGroup, task, cap: int, workers: int,
+                  order_filter: int | None = None, **work) -> tuple[list, list]:
+    """task over the class representatives of g (of order order_filter):
+    ([(representative, class size)], [CheckResult]), both in class order.
+    The worker state holds g, cap and work for the duration of the call."""
+    items = [
+        (cls.representative, cls.size)
+        for cls in g.class_representatives(order_filter=order_filter, cap=cap)
+    ]
+    _WORK.update(group=g, cap=cap, **work)
+    try:
+        return items, _pmap(task, items, workers)
+    finally:
+        _WORK.clear()
+
+
 def _equivalence_task(item) -> CheckResult:
     x, size = item
     g: PermutationGroup = _WORK["group"]
@@ -147,19 +175,14 @@ def verify_equivalence(
     t0 = time.perf_counter()
     try:
         radical = solvable_radical(g, cap=cap)
-        items = [
-            (cls.representative, cls.size)
-            for cls in g.class_representatives(cap=cap)
-        ]
-        _WORK.update(group=g, radical=radical, pair_cap=pair_cap, cap=cap)
-        checks = _pmap(_equivalence_task, items, workers)
+        _items, checks = _class_checks(
+            g, _equivalence_task, cap, workers, radical=radical, pair_cap=pair_cap
+        )
         report.checks = _sorted_checks(checks)
         if not all(c.agreed for c in report.checks):
             report.status = STATUS_COUNTEREXAMPLE
     except CapExceededError:
         report.status = STATUS_CAPPED
-    finally:
-        _WORK.clear()
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
 
@@ -199,24 +222,43 @@ def verify_cvl(
     constraint = CONSTRAINT_ODD_P if lst.witness_kind == "odd-p" else CONSTRAINT_TWO_ELEMENT
     real = catalog.cvl_realization(socle_name)
     try:
-        items = [
-            (cls.representative, cls.size)
-            for cls in real.group.class_representatives(order_filter=lst.x_order, cap=cap)
-        ]
-        _WORK.update(
-            group=real.group, socle=real.socle, constraint=constraint,
-            pair_cap=pair_cap, cap=cap,
+        _items, checks = _class_checks(
+            real.group, _cvl_task, cap, workers, order_filter=lst.x_order,
+            socle=real.socle, constraint=constraint, pair_cap=pair_cap,
         )
-        checks = _pmap(_cvl_task, items, workers)
         report.checks = _sorted_checks(checks)
         if not all(c.agreed for c in report.checks):
             report.status = STATUS_COUNTEREXAMPLE
     except CapExceededError:
         report.status = STATUS_CAPPED
-    finally:
-        _WORK.clear()
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
+
+
+def _method_task(item) -> CheckResult:
+    x, size = item
+    g: PermutationGroup = _WORK["group"]
+    v = MEMBER_FNS[_WORK["method"]](g, x, _WORK["pair_cap"], _WORK["cap"])
+    return CheckResult(format_cycles(x.t, g.degree), x.order(), size, v.member, v.witness, True)
+
+
+def radical_by_method(
+    g: PermutationGroup,
+    method: str,
+    name: str | None = None,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+    pair_cap: int = DEFAULT_PAIR_CAP,
+    workers: int = 1,
+) -> tuple[PermutationGroup, VerificationReport]:
+    """R(G) as the normal closure of the class representatives that one
+    membership criterion places in it, with the per-class report. A cap that
+    fires raises CapExceededError."""
+    items, checks = _class_checks(g, _method_task, cap, workers, method=method, pair_cap=pair_cap)
+    members = [x for (x, _size), c in zip(items, checks) if c.member]
+    radical = g.normal_closure(members) if members else g.subgroup([])
+    report = VerificationReport(name or g.name or "group", "method", method, STATUS_VERIFIED)
+    report.checks = _sorted_checks(checks)
+    return radical, report
 
 
 def verify_corpus(

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, flag placement, report files."""
 
+import hashlib
 import importlib.metadata
 import json
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from radlab import cli
-from radlab.catalog import data_dir, symmetric, save_group_file
+from radlab.catalog import CORPUS, data_dir, symmetric, save_group_file
 from radlab.structure import solvable_radical
 from radlab.verify import STATUS_COUNTEREXAMPLE, STATUS_VERIFIED, VerificationReport
 
@@ -114,6 +115,26 @@ def test_radical_methods_match_oracle(corpus, capsys):
         for method in RADICAL_METHODS:
             code, out, _ = run(["radical", name, "--method", method], capsys)
             assert code == 0 and expect in out, (name, method, out)
+
+
+# SHA-256 of the report files of every corpus group, concatenated in catalog
+# order, as written before the per-class loop moved into verify.py
+RADICAL_REPORT_DIGESTS = {
+    "b1": "c97394ccad707b9e8ac6e41d24aad4d8c114243e5a4e40fadf13c9212fe80af0",
+    "odd-p": "269fa380a6774b3e3116b2ef87bce2b62e3b717268a09b1d5da93af139488e55",
+    "combined": "f7ab37d876847db95373c27e4358adec49e865139c182b796b75adf1cfde4058",
+}
+
+
+def test_radical_report_bytes_as_pinned(tmp_path, capsys):
+    for method, digest in RADICAL_REPORT_DIGESTS.items():
+        h = hashlib.sha256()
+        for name in CORPUS:
+            f = tmp_path / f"{name}.{method}.json"
+            code, _, _ = run(["radical", name, "--method", method, "--out", str(f)], capsys)
+            assert code == 0, (name, method)
+            h.update(f.read_bytes())
+        assert h.hexdigest() == digest, method
 
 
 def test_radical_refuses_two_element(capsys):

@@ -5,7 +5,9 @@ criteria must reproduce its verdicts exactly. Witness objects are treated as
 certificates: every one emitted here is re-validated from scratch, and the
 find_witness first-hit contract is checked against a coverage-free rescan.
 The subgroup-coverage skip is checked against a reference scan that keeps
-the older, smaller skip set of <x>-conjugates of generators of tested <y>.
+the older, smaller skip set of <x>-conjugates of generators of tested <y>,
+and the centralizer skip against a copy of the loops with subgroup coverage
+as their only skip.
 """
 
 import math
@@ -21,6 +23,9 @@ from radlab.criteria import (
     CONSTRAINT_TWO_ELEMENT,
     MembershipVerdict,
     Witness,
+    _coverage,
+    _pair_solvable,
+    _prime_of_order,
     _probe_tables,
     find_witness,
     member_b1,
@@ -31,7 +36,7 @@ from radlab.criteria import (
 )
 from radlab.errors import CapExceededError, MembershipError, PreconditionError
 from radlab.group import DEFAULT_ENUMERATION_CAP, PermutationGroup
-from radlab.perm import Perm
+from radlab.perm import Perm, table_order
 from radlab.structure import (
     derived_series,
     primary_decomposition,
@@ -438,6 +443,145 @@ def test_subgroup_coverage_tests_no_more_pairs(corpus):
                 ours += v.pairs_tested
                 reference += ref.tested
     assert ours < reference
+
+
+class SubgroupCoverageScan:
+    """The member_* and find_witness loops with no memo and subgroup coverage
+    as their only skip: verdicts as (member, witness, pairs tested)."""
+
+    def __init__(self, g):
+        self.g = g
+        self.n = g.degree
+        self.tested = 0
+
+    def first_hit(self, xt, ys, prime, covering=True):
+        """(y, prime, order, steps) of the first nonsolvable <x, y>, or None."""
+        covered = set()
+        for yt in ys:
+            if yt in covered:
+                continue
+            self.tested += 1
+            solvable, order, steps, h = _pair_solvable(self.n, xt, yt)
+            if not solvable:
+                return yt, prime(yt), order, steps
+            if covering:
+                covered.update(_coverage(h, DEFAULT_ENUMERATION_CAP))
+        return None
+
+    def prime_of(self, yt):
+        return _prime_of_order(table_order(yt, self.n))
+
+    def verdict(self, x, hit):
+        if hit is None:
+            return True, None, self.tested
+        yt, prime, order, steps = hit
+        return False, Witness(x, Perm(self.n, yt), prime, order, steps), self.tested
+
+    def against(self, x, primes):
+        kind = 2 if primes == [2] else "odd"
+        hit = self.first_hit(x.t, _probe_tables(self.g, x.t, kind), self.prime_of, False)
+        for p in primes:
+            if hit is not None:
+                break
+            hit = self.first_hit(x.t, self.g.p_element_tables(p), lambda _y, p=p: p)
+        return self.verdict(x, hit)
+
+    def odd_primes(self, g):
+        return [p for p in factorize(g.order).primes if p != 2]
+
+    def member_b1(self, x):
+        if x.is_identity():
+            return True, None, 0
+        hit = self.first_hit(x.t, _probe_tables(self.g, x.t, None), self.prime_of, False)
+        if hit is None:
+            ys = (t for t in self.g.tables() if t != self.g._ident)
+            hit = self.first_hit(x.t, ys, self.prime_of)
+        return self.verdict(x, hit)
+
+    def member_oddp(self, x):
+        if x.is_identity():
+            return True, None, 0
+        return self.against(x, self.odd_primes(self.g))
+
+    def member_two_element(self, x):
+        return self.against(x, [2])
+
+    def member_combined(self, x):
+        split = two_part_split(x)
+        x2 = split.two_part
+        if not x2.is_identity():
+            member, w, tested = self.against(x2, self.odd_primes(self.g))
+            if not member:
+                return member, w, tested
+        for _p, comp in primary_decomposition(split.odd_part).components:
+            member, w, tested = self.against(comp, [2])
+            if not member:
+                return member, w, tested
+        return True, None, self.tested
+
+    def find_witness(self, x, constraint, domain=None):
+        dom = domain if domain is not None else self.g
+        primes = factorize(dom.order).primes
+        if constraint == CONSTRAINT_ODD_P:
+            primes = self.odd_primes(dom)
+        elif constraint == CONSTRAINT_TWO_ELEMENT:
+            primes = [2] if dom.order % 2 == 0 else []
+        for p in primes:
+            hit = self.first_hit(x.t, dom.p_element_tables(p), lambda _y, p=p: p)
+            if hit is not None:
+                return self.verdict(x, hit)[1]
+        return None
+
+
+def test_centralizer_skip_keeps_every_verdict_and_witness(corpus):
+    ours = reference = 0
+    for name, g in coverage_groups(corpus).items():
+        for cls in g.class_representatives():
+            x = cls.representative
+            for fn in member_methods(x):
+                member, witness, tested = getattr(SubgroupCoverageScan(g), fn.__name__)(x)
+                v = fn(g, x)
+                assert (v.member, v.witness) == (member, witness), (name, x.cycles(), fn)
+                assert v.pairs_tested <= tested, (name, x.cycles(), fn)
+                ours += v.pairs_tested
+                reference += tested
+            for constraint in CONSTRAINTS:
+                expect = SubgroupCoverageScan(g).find_witness(x, constraint)
+                assert find_witness(g, x, constraint) == expect, (name, x.cycles(), constraint)
+    assert ours < reference
+
+
+def test_centralizer_skip_saves_pairs_on_a_direct_product():
+    # every element of PSL(2,7) commutes with the S4 factor, so its strong
+    # generators conjugate solved pairs <x, y> into pairs still untested
+    g = catalog.direct_product(catalog.build_named("S4"), catalog.build_named("PSL2_7"))
+    s4 = catalog.symmetric(4)
+    for x4 in s4.elements():
+        if x4.is_identity():
+            continue
+        x = Perm.from_images(list(x4.t[:4]) + list(range(4, 12)), 12)
+        v = member_combined(g, x)
+        member, witness, tested = SubgroupCoverageScan(g).member_combined(x)
+        assert v.member and member and v.witness is None and witness is None
+        assert v.pairs_tested < tested, (x.cycles(), v.pairs_tested, tested)
+
+
+def test_centralizer_skip_in_a_socle_domain():
+    # x lies in Aut(G0) outside the socle that y ranges over; the commuting
+    # strong generators are those of the socle
+    for socle_name in ("PSL3_2", "A6"):
+        real = catalog.cvl_realization(socle_name)
+        g, socle = real.group, real.socle
+        outside = [
+            c.representative for c in g.class_representatives()
+            if not socle.contains(c.representative)
+        ]
+        assert outside
+        for x in outside:
+            for constraint in CONSTRAINTS:
+                expect = SubgroupCoverageScan(g).find_witness(x, constraint, domain=socle)
+                got = find_witness(g, x, constraint, domain=socle)
+                assert got == expect, (socle_name, x.cycles(), constraint)
 
 
 def test_find_witness_coverage_above_cap_is_skipped():

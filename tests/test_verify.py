@@ -13,11 +13,13 @@ from radlab.criteria import witness_is_valid
 from radlab.errors import CapExceededError, PreconditionError
 from radlab.group import PermutationGroup
 from radlab.perm import Perm
+from radlab.structure import solvable_radical
 from radlab.verify import (
     STATUS_CAPPED,
     STATUS_OUT_OF_SCALE,
     STATUS_VERIFIED,
     generating_triple,
+    radical_by_method,
     reports_to_json,
     verify_cvl,
     verify_equivalence,
@@ -127,6 +129,22 @@ def test_worker_state_released_after_each_call(monkeypatch):
         ["cap", "group", "pair_cap", "radical"],
         ["cap", "constraint", "group", "pair_cap", "socle"],
     ]
+
+
+def test_radical_by_method_matches_the_oracle_for_any_worker_count():
+    g = catalog.build_named("S3xA5")
+    for method in ("b1", "odd-p", "combined"):
+        radical, report = radical_by_method(g, method)
+        assert radical.order == 6 and verify._WORK == {}
+        assert [c.member for c in report.checks] == [
+            solvable_radical(g).contains(Perm.from_cycles(c.x_text, g.degree))
+            for c in report.checks
+        ]
+        _radical, forked = radical_by_method(g, method, workers=2)
+        assert forked.to_json() == report.to_json()
+    with pytest.raises(CapExceededError):
+        radical_by_method(g, "combined", cap=g.order - 1)
+    assert verify._WORK == {}
 
 
 def test_cvl_rejects_unknown_pairs():
