@@ -326,7 +326,9 @@ class PermutationGroup:
         """Smallest normal subgroup containing seeds (which must lie in the group).
 
         Closure by FIFO conjugation sweep: each adopted generator is conjugated
-        by every group generator in order; new elements join the queue.
+        by every group generator in order; new elements join the queue. The
+        sweep stops once the closure's order equals the ambient order, as a
+        subgroup of that order is the whole group.
         """
         for g in seeds:
             if not self.contains(g):
@@ -335,9 +337,12 @@ class PermutationGroup:
 
     def _normal_closure_tables(self, seed_tables: list) -> "PermutationGroup":
         n = PermutationGroup(self.degree, [])
+        full = self.order
         queue: list = []
         for t in seed_tables:
-            if not is_ident(t) and n._adopt(t):
+            if n._adopt(t):
+                if n.order == full:
+                    return n
                 queue.append(t)
         compose = self._mul
         qi = 0
@@ -346,8 +351,9 @@ class PermutationGroup:
             qi += 1
             for g, ginv in zip(self.gens, self.gen_invs):
                 z = compose(compose(ginv, y), g)
-                if not n.contains_table(z):
-                    n._adopt(z)
+                if n._adopt(z):
+                    if n.order == full:
+                        return n
                     queue.append(z)
         return n
 

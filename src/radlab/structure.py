@@ -16,15 +16,12 @@ from .perm import Perm, is_ident, mul
 
 
 def _commutator_tables(g: PermutationGroup) -> list:
-    """[a,b] = a^-1 b^-1 a b over ordered generator pairs, identities dropped."""
+    """[a,b] = a^-1 b^-1 a b over generator pairs with a listed before b,
+    identities dropped; [b,a] = [a,b]^-1 lies in any normal closure of [a,b]."""
     out = []
-    n = g.degree
     for i, a in enumerate(g.gens):
         ainv = g.gen_invs[i]
-        for k, b in enumerate(g.gens):
-            if i == k:
-                continue
-            binv = g.gen_invs[k]
+        for b, binv in zip(g.gens[i + 1 :], g.gen_invs[i + 1 :]):
             comm = mul(mul(mul(ainv, binv), a), b)
             if not is_ident(comm) and comm not in out:
                 out.append(comm)
@@ -106,7 +103,8 @@ def solvable_radical(
     Oracle computation: an element lies in the radical iff the normal closure
     of its conjugacy class is solvable, so the radical is generated by the
     qualifying classes. Class representatives suffice (the closure is a class
-    invariant).
+    invariant). G is known not to be solvable past the first line, so a
+    closure of order |G| is G and is skipped without a descent.
     """
     if solvability(g)[0]:
         return g
@@ -115,7 +113,7 @@ def solvable_radical(
         if radical.contains_table(rep):
             continue
         closure = g._normal_closure_tables([rep])
-        if solvability(closure)[0]:
+        if closure.order != g.order and solvability(closure)[0]:
             for t in closure.gens:
                 radical._adopt(t)
     return radical

@@ -14,6 +14,7 @@ from radlab.arith import factorize, p_part
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
 from radlab.group import SYLOW_DRAWS, PermutationGroup, group_from_cycles
 from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order
+from radlab.structure import _commutator_tables, derived_subgroup
 from radlab.verify import verify_equivalence
 
 
@@ -145,6 +146,65 @@ def test_normal_closure_is_normal_and_minimal():
     for m in list(members)[:12]:
         for g in s4.generators:
             assert g.inverse() * m * g in members
+
+
+class FullSweepClosure:
+    """_normal_closure_tables and the commutator seeds before the stop at the
+    ambient order: every adopted generator is conjugated by every generator of
+    g, and the seeds run over all ordered generator pairs."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def closure(self, seed_tables):
+        g = self.g
+        n = PermutationGroup(g.degree, [])
+        queue = []
+        for t in seed_tables:
+            if not is_ident(t) and n._adopt(t):
+                queue.append(t)
+        qi = 0
+        while qi < len(queue):
+            y = queue[qi]
+            qi += 1
+            for h, hinv in zip(g.gens, g.gen_invs):
+                z = g._mul(g._mul(hinv, y), h)
+                if not n.contains_table(z):
+                    n._adopt(z)
+                    queue.append(z)
+        return n
+
+    def commutator_seeds(self):
+        g = self.g
+        out = []
+        for a, ainv in zip(g.gens, g.gen_invs):
+            for b, binv in zip(g.gens, g.gen_invs):
+                comm = mul(mul(mul(ainv, binv), a), b)
+                if not is_ident(comm) and comm not in out:  # [a, a] is the identity
+                    out.append(comm)
+        return out
+
+
+def test_closure_stop_matches_the_full_sweep(corpus):
+    stopped = 0
+    for name, g in corpus.items():
+        ref = FullSweepClosure(g)
+        cases = [([rep], g._normal_closure_tables([rep]), ref.closure([rep]))
+                 for rep, _size in g.class_representatives_tables(None)]
+        cases.append((_commutator_tables(g), derived_subgroup(g),
+                      ref.closure(ref.commutator_seeds())))
+        for seeds, n, expect in cases:
+            where = (name, [format_cycles(t, g.degree) for t in seeds[:1]])
+            assert n.order == expect.order, where
+            assert all(expect.contains_table(t) for t in n.gens), where
+            for t in n.gens:
+                for h, hinv in zip(g.gens, g.gen_invs):
+                    assert n.contains_table(mul(mul(hinv, t), h)), where
+            # the stop skips only conjugates already inside, so the closure
+            # adopts the same generators in the same order
+            assert n.gens == expect.gens, where
+            stopped += n.order == g.order
+    assert stopped > 100  # most class closures of the corpus are all of G
 
 
 def test_conjugacy_class_sizes_s3():

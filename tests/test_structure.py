@@ -122,6 +122,24 @@ def test_solvability_computes_no_term_past_its_exit(monkeypatch):
         assert orders == expect, g.order
 
 
+def test_radical_descends_no_closure_equal_to_g(monkeypatch):
+    orders = []
+
+    def counted(h):
+        orders.append(h.order)
+        return derived_subgroup(h)
+
+    monkeypatch.setattr(structure, "derived_subgroup", counted)
+    # every nontrivial class of A5 has closure A5, so only solvability(A5) descends
+    assert solvable_radical(catalog.alternating(5)).order == 1
+    assert orders == [60]
+    orders.clear()
+    # S5: the transpositions close to S5 (skipped), the 3-cycles to A5
+    assert solvable_radical(catalog.symmetric(5)).order == 1
+    assert orders[:2] == [120, 60]
+    assert 60 in orders[2:] and 120 not in orders[2:]
+
+
 def test_is_solvable_matches_brute_oracle(small_corpus):
     for name, g in small_corpus.items():
         if g.order > 720:
