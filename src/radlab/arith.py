@@ -1,8 +1,7 @@
-"""Integer arithmetic: factorization, primality, primitive prime divisors, CRT."""
+"""Integer arithmetic: factorization, primality, primitive prime divisors."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -145,19 +144,3 @@ def primitive_prime_divisor(q: int, e: int) -> int | None:
         if all(m % u != 0 for m in earlier):
             return u
     return None
-
-
-def crt(residues: list[int], moduli: list[int]) -> int:
-    """Solve x = r_i (mod m_i) for pairwise coprime moduli; 0 <= x < prod(m_i)."""
-    if len(residues) != len(moduli):
-        raise PreconditionError("residue and modulus lists differ in length")
-    x, m = 0, 1
-    for r, mod in zip(residues, moduli):
-        g = math.gcd(m, mod)
-        if g != 1:
-            raise PreconditionError(f"moduli are not pairwise coprime (gcd {g})")
-        # x' = x + m * t with t chosen so x' = r (mod mod)
-        t = ((r - x) * pow(m, -1, mod)) % mod
-        x += m * t
-        m *= mod
-    return x % m

@@ -507,18 +507,6 @@ def _real_semilinear(name: str, q: int) -> CvlRealization:
     return CvlRealization(name, g, socle)
 
 
-def _real_pgl2_7() -> CvlRealization:
-    k = GF(7)
-    pts = projective_points(k, 2)
-    idx = {p: i for i, p in enumerate(pts)}
-    socle_gens = [point_perm(k, pts, idx, m) for m in sl_generators(k, 2)]
-    diag = point_perm(k, pts, idx, ((k.generator(), 0), (0, 1)))
-    g = PermutationGroup(8, socle_gens + [diag], name="PGL2_7")
-    socle = PermutationGroup(8, socle_gens, name="PSL2_7")
-    _assert_order(socle, 168)
-    return CvlRealization("PSL3_2", _assert_order(g, 336), socle)
-
-
 def _real_s8() -> CvlRealization:
     a8 = alternating(8)
     swap = Perm.from_images([1, 0] + list(range(2, 8)), 8)
@@ -553,7 +541,7 @@ def _real_bundled(name: str) -> CvlRealization:
 
 _REALIZERS = {
     "A6": lambda: _real_semilinear("A6", 9),
-    "PSL3_2": _real_pgl2_7,
+    "PSL3_2": lambda: _real_semilinear("PSL3_2", 7),
     "PSL2_8": lambda: _real_semilinear("PSL2_8", 8),
     "PSL2_27": lambda: _real_semilinear("PSL2_27", 27),
     "PSL3_3": lambda: _real_psl3_doubled(3, False, 11232, "PSL3_3"),

@@ -25,36 +25,42 @@ scanned group that commutes with x, <x, y^c> = <x, y>^c, so y is covered
 when y^c or y^(c^-1) is. It is checked lazily, on each streamed y, against
 the commuting strong generators listed once per loop. Only solvable pairs
 are ever skipped, so the first nonsolvable y in enumeration order is tested
-and found as without either skip; pairs_tested can only fall. A cheap
-deterministic probe (built from strong generators) runs before exhaustive
-member_* loops to find witnesses early: once per checked element, because
-its candidates (2-elements, or elements of any odd prime-power order) do not
-depend on the prime being scanned. find_witness keeps the strict
-primes-ascending, enumeration-order, first-hit contract and no probe.
+and found as without either skip; pairs_tested can only fall.
 
-Scan outcomes are memoized on the group whose p-elements are scanned (the
-domain, for find_witness), in PermutationGroup._scan_cache. A probe is keyed
-by (checked table, kind) and one prime's exhaustive loop by (checked table,
-p, cap): its outcome depends on nothing else, because the cap decides which
-pair subgroups may be enumerated for coverage, and the commuting strong
-generators depend only on the group and the checked table. An entry holds
-the pairs the scan tested and its first nonsolvable y with the prime,
-subgroup order and derived steps, or no hit. Only finished loops are
-stored, and the memo is cleared with the p-element cache whenever the group
-grows. A hit replays the stored pair count, so pairs_tested, the witness and
-the pair-cap error are those of a fresh scan whatever was asked before: the
-cap fires when the loop counted any pair and the running count exceeds it.
+Every member_* criterion runs one path, _check, over one family of y: all
+of G for b1 (kind None), the 2-elements (kind 2), or the p-elements of the
+odd primes of |G| (kind "odd"). A cheap deterministic probe (built from
+strong generators) runs first to find witnesses early: once per checked
+element, because its candidates (the elements themselves, 2-elements, or
+elements of any odd prime-power order) do not depend on the prime being
+scanned. The exhaustive scan follows, one loop per prime, with p None
+standing for all of G. find_witness keeps the strict primes-ascending,
+enumeration-order, first-hit contract and no probe.
+
+Scan outcomes are memoized on the group whose y are scanned (the domain, for
+find_witness), in PermutationGroup._scan_cache. A probe is keyed by (checked
+table, kind) and one prime's exhaustive loop by (checked table, p, cap), with
+p None for all of G: its outcome depends on nothing else, because the cap
+decides which pair subgroups may be enumerated for coverage, and the
+commuting strong generators depend only on the group and the checked table.
+An entry holds the pairs the scan tested and its first nonsolvable y with
+the prime, subgroup order and derived steps, or no hit. Only finished loops
+are stored, and the memo is cleared with the p-element cache whenever the
+group grows. A hit replays the stored pair count, so pairs_tested, the
+witness and the pair-cap error are those of a fresh scan whatever was asked
+before: the cap fires when the loop counted any pair and the running count
+exceeds it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import factorize
+from .arith import factorize, p_part
 from .errors import CapExceededError, MembershipError, PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, inv, is_ident, mul, pow_table, table_order
-from .structure import primary_decomposition, solvability, two_part_split
+from .structure import primary_decomposition, primary_exponent, solvability, two_part_split
 
 DEFAULT_PAIR_CAP = 10_000_000
 
@@ -111,19 +117,10 @@ def _prime_of_order(o: int) -> int | None:
 def _component_table(t, n: int, p: int):
     """p-component of a raw table (power of t with p-power order)."""
     o = table_order(t, n)
-    a = 0
-    pa = 1
-    while o % (pa * p) == 0:
-        pa *= p
-        a += 1
-    if a == 0:
+    pa = p_part(o, p)
+    if pa == 1:
         return None
-    rest = o // pa
-    if rest == 1:
-        return t
-    # k = 1 mod pa, 0 mod rest
-    k = (rest * pow(rest, -1, pa)) % o
-    return pow_table(t, k, n)
+    return t if pa == o else pow_table(t, primary_exponent(o, pa), n)
 
 
 def _probe_tables(g: PermutationGroup, xt, prime_kind) -> list:
@@ -211,29 +208,11 @@ def member_b1(
     """x in R(G) iff <x, y> is solvable for every y in G."""
     _require_member(g, x)
     xt = x.t
-    n = g.degree
     if is_ident(xt):
         # <identity, y> is cyclic, hence solvable, for every y
         return MembershipVerdict(x, METHOD_B1, True, None, 0)
-    tested = 0
-    for yt in _probe_tables(g, xt, None):
-        tested += 1
-        solvable, order, steps, _h = _pair_solvable(n, xt, yt)
-        if not solvable:
-            w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
-            return MembershipVerdict(x, METHOD_B1, False, w, tested)
-    # <x, 1> is cyclic, so the identity is covered from the start
-    covered = {g._ident}
-    for yt in _untested(g, xt, g.tables(cap), covered):
-        tested += 1
-        if tested > pair_cap:
-            raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
-        solvable, order, steps, h = _pair_solvable(n, xt, yt)
-        if not solvable:
-            w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
-            return MembershipVerdict(x, METHOD_B1, False, w, tested)
-        covered.update(_coverage(h, cap))
-    return MembershipVerdict(x, METHOD_B1, True, None, tested)
+    w, tested = _check(g, xt, x, None, pair_cap, cap, 0)
+    return MembershipVerdict(x, METHOD_B1, w is None, w, tested)
 
 
 def _witness(x: Perm, n: int, hit) -> Witness:
@@ -242,10 +221,10 @@ def _witness(x: Perm, n: int, hit) -> Witness:
 
 
 def _probe(g: PermutationGroup, checked, kind) -> tuple[int, tuple | None]:
-    """Memoized probe of checked against the candidates of one kind ("odd"
-    or 2): (pairs tested, hit), hit = (y, prime, order, steps) of the first
-    nonsolvable pair or None. Every candidate is already a p-element of the
-    kind, and none of them depends on p or on the enumeration cap."""
+    """Memoized probe of checked against the candidates of one kind (None,
+    "odd" or 2): (pairs tested, hit), hit = (y, prime, order, steps) of the
+    first nonsolvable pair or None. The candidates depend neither on p nor
+    on the enumeration cap."""
     key = (checked, kind)
     out = g._scan_cache.get(key)
     if out is None:
@@ -263,8 +242,9 @@ def _probe(g: PermutationGroup, checked, kind) -> tuple[int, tuple | None]:
 
 
 def _exhaust(g: PermutationGroup, checked, primes, cap: int, budget: int):
-    """Exhaustive scan of <checked, y> over the p-elements y of g, primes in
-    the given order, enumeration order within a prime.
+    """Exhaustive scan of <checked, y>, primes in the given order,
+    enumeration order within a prime: y ranges over the p-elements of g, or
+    over all of g for p None.
 
     Returns (pairs tested, hit) as _probe does, or None when the scan would
     test more than budget pairs. Each prime's outcome is memoized on g under
@@ -281,14 +261,16 @@ def _exhaust(g: PermutationGroup, checked, primes, cap: int, budget: int):
         if out is None:
             count = 0
             hit = None
-            covered: set = set()
-            for yt in _untested(g, checked, g.p_element_tables(p, cap), covered):
+            # <checked, 1> is cyclic, so the identity is covered from the start
+            covered = {g._ident}
+            ys = g.tables(cap) if p is None else g.p_element_tables(p, cap)
+            for yt in _untested(g, checked, ys, covered):
                 count += 1
                 if count > left:
                     return None
                 solvable, order, steps, h = _pair_solvable(n, checked, yt)
                 if not solvable:
-                    hit = (yt, p, order, steps)
+                    hit = (yt, p or _prime_of_order(table_order(yt, n)), order, steps)
                     break
                 covered.update(_coverage(h, cap))
             out = memo[key] = (count, hit)
@@ -301,19 +283,21 @@ def _exhaust(g: PermutationGroup, checked, primes, cap: int, budget: int):
     return tested, None
 
 
-def _check_against_p_elements(
+def _check(
     g: PermutationGroup,
     checked,
     checked_perm: Perm,
-    primes: list[int],
+    kind,
     pair_cap: int,
     cap: int,
     tested: int,
 ) -> tuple[Witness | None, int]:
-    """Run <checked, y> over the p-elements of g, p in primes ([2], or the
-    odd primes of |G| ascending): the probe once, then the exhaustive scan.
-    Returns the first witness or None, and the running pair count."""
-    count, hit = _probe(g, checked, 2 if primes == [2] else "odd")
+    """Run <checked, y> over one family of y in g: all of g (kind None), the
+    2-elements (kind 2) or the p-elements of the odd primes of |G| ascending
+    (kind "odd"); the probe once, then the exhaustive scan. Returns the
+    first witness or None, and the running pair count."""
+    primes = _odd_primes(g) if kind == "odd" else [kind]
+    count, hit = _probe(g, checked, kind)
     tested += count
     if hit is None:
         out = _exhaust(g, checked, primes, cap, pair_cap - tested)
@@ -339,7 +323,7 @@ def member_oddp(
     xt = x.t
     if is_ident(xt):
         return MembershipVerdict(x, METHOD_ODD_P, True, None, 0)
-    w, tested = _check_against_p_elements(g, xt, x, _odd_primes(g), pair_cap, cap, 0)
+    w, tested = _check(g, xt, x, "odd", pair_cap, cap, 0)
     return MembershipVerdict(x, METHOD_ODD_P, w is None, w, tested)
 
 
@@ -357,7 +341,7 @@ def member_two_element(
         raise PreconditionError(
             f"x must be a p-element for an odd prime, but o(x) = {o}"
         )
-    w, tested = _check_against_p_elements(g, x.t, x, [2], pair_cap, cap, 0)
+    w, tested = _check(g, x.t, x, 2, pair_cap, cap, 0)
     return MembershipVerdict(x, METHOD_TWO_ELEMENT, w is None, w, tested)
 
 
@@ -374,13 +358,11 @@ def member_combined(
     tested = 0
     x2 = split.two_part
     if not x2.is_identity():
-        w, tested = _check_against_p_elements(
-            g, x2.t, x2, _odd_primes(g), pair_cap, cap, tested
-        )
+        w, tested = _check(g, x2.t, x2, "odd", pair_cap, cap, tested)
         if w is not None:
             return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
     for p, comp in primary_decomposition(split.odd_part).components:
-        w, tested = _check_against_p_elements(g, comp.t, comp, [2], pair_cap, cap, tested)
+        w, tested = _check(g, comp.t, comp, 2, pair_cap, cap, tested)
         if w is not None:
             return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
     return MembershipVerdict(x, METHOD_COMBINED, True, None, tested)

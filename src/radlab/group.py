@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import random
 
-from .arith import factorize, is_prime, p_part
+from .arith import is_prime, p_part
 from .errors import (
     CapExceededError,
     DegreeMismatchError,
@@ -447,8 +447,11 @@ class PermutationGroup:
         """Classes in order of their first member in tables(); with
         order_filter the seen-set holds only elements of that order."""
         tables = self.tables(cap)
-        if order_filter is not None:
-            tables = filter(self._order_checker(order_filter), tables)
+        if order_filter is not None and is_prime(order_filter):
+            tables = filter(self._p_power_checker(order_filter, order_filter), tables)
+        elif order_filter is not None:
+            n = self.degree
+            tables = (t for t in tables if table_order(t, n) == order_filter)
         seen: set = set()
         out = []
         for t in tables:
@@ -465,7 +468,7 @@ class PermutationGroup:
         sylow = self.sylow(p, random.Random(SYLOW_SEED))
         if sylow is None:
             return None
-        has_order_p = self._order_checker(p)
+        has_order_p = self._p_power_checker(p, p)
         seen: set = set()
         found = []
         for t in sylow.tables(sylow.order):
@@ -533,28 +536,23 @@ class PermutationGroup:
                 sub = grown
         return sub
 
-    def _order_checker(self, k: int):
-        """Predicate: element has order exactly k (k >= 1)."""
-        n = self.degree
+    def _p_power_checker(self, p: int, pe: int):
+        """Predicate: t != 1 and t^pe == 1, for pe a power of the prime p;
+        with pe = p it holds exactly for the elements of order p. t is
+        raised to the p-th power once per factor p of pe, by p - 1
+        compositions each."""
+        compose = self._mul
         ident = self._ident
-        if is_prime(k):
-            # order exactly k iff t^k == 1 and t != 1: k - 1 compositions
-            compose = self._mul
-            steps = range(k - 1)
-
-            def check_prime(t) -> bool:
-                s = t
-                for _ in steps:
-                    s = compose(s, t)
-                return s == ident and t != ident
-
-            return check_prime
-        maximal = [k // p for p in factorize(k).primes]
+        steps = range(p - 1)
 
         def check(t) -> bool:
-            if pow_table(t, k, n) != ident:
-                return False
-            return all(pow_table(t, m, n) != ident for m in maximal)
+            s, k = t, 1
+            while k < pe:
+                r = s
+                for _ in steps:
+                    r = compose(r, s)
+                s, k = r, k * p
+            return s == ident and t != ident
 
         return check
 
@@ -587,21 +585,7 @@ class PermutationGroup:
             return cached
         source = iter(())
         if pe > 1:
-            # t^pe == 1, raising t to the p-th power once per factor p of pe
-            compose = self._mul
-            ident = self._ident
-            steps = range(p - 1)
-
-            def is_p_element(t) -> bool:
-                s, k = t, 1
-                while k < pe:
-                    r = s
-                    for _ in steps:
-                        r = compose(r, s)
-                    s, k = r, k * p
-                return s == ident and t != ident
-
-            source = filter(is_p_element, self.tables(cap))
+            source = filter(self._p_power_checker(p, pe), self.tables(cap))
         stream = self._pelement_cache[p] = _FilledStream(source)
         return stream
 

@@ -62,19 +62,6 @@ def transpose(a: Mat) -> Mat:
     return tuple(zip(*a))
 
 
-def mat_pow(k: FiniteField, a: Mat, e: int) -> Mat:
-    if e < 0:
-        return mat_pow(k, mat_inv(k, a), -e)
-    result = identity_matrix(len(a))
-    base = a
-    while e:
-        if e & 1:
-            result = mat_mul(k, result, base)
-        base = mat_mul(k, base, base)
-        e >>= 1
-    return result
-
-
 def det(k: FiniteField, a: Mat) -> int:
     d = len(a)
     rows = [list(r) for r in a]

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arith import crt, factorize, is_prime
+from .arith import factorize, is_prime
 from .errors import PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, is_ident, mul
@@ -133,7 +133,8 @@ class PrimaryDecomposition:
     """x as the product of its pairwise commuting primary components.
 
     components[p] = x**k(p) has order p**a(p) where o(x) = prod p**a(p); the
-    exponents k(p) are the CRT solutions of k = 1 mod p**a(p), k = 0 mod rest.
+    exponents k(p) = primary_exponent(o, p**a(p)) solve k = 1 mod p**a(p),
+    k = 0 mod rest.
     The identity decomposes into no components.
     """
 
@@ -149,15 +150,19 @@ class PrimaryDecomposition:
         return Perm.identity(self.element.degree)
 
 
+def primary_exponent(o: int, pa: int) -> int:
+    """The k in [0, o) with k = 1 mod pa and k = 0 mod o/pa, for pa the
+    p-part of o: x**k is the p-component of an x of order o."""
+    rest = o // pa
+    return rest * pow(rest, -1, pa) % o
+
+
 def primary_decomposition(x: Perm) -> PrimaryDecomposition:
     o = x.order()
-    fact = factorize(o)
     comps = []
     exps = []
-    for p, a in fact:
-        pa = p**a
-        rest = o // pa
-        k = crt([1, 0], [pa, rest]) if rest > 1 else 1
+    for p, a in factorize(o):
+        k = primary_exponent(o, p**a)
         comps.append((p, x**k))
         exps.append((p, k))
     return PrimaryDecomposition(x, o, tuple(comps), tuple(exps))

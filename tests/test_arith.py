@@ -1,4 +1,4 @@
-"""Integer arithmetic: factorization, p-parts, primitive prime divisors, CRT."""
+"""Integer arithmetic: factorization, p-parts, primitive prime divisors."""
 
 import math
 import random
@@ -7,7 +7,6 @@ import pytest
 
 from radlab.arith import (
     Factorization,
-    crt,
     factorize,
     is_prime,
     p_part,
@@ -148,21 +147,3 @@ def test_primitive_prime_divisor_rejects_bad_domain():
         primitive_prime_divisor(1, 3)
     with pytest.raises(PreconditionError):
         primitive_prime_divisor(2, 0)
-
-
-def test_crt_round_trip():
-    rng = random.Random(3)
-    moduli_sets = [[3, 5], [4, 9, 25], [8, 27, 5, 7], [2, 3, 5, 7, 11, 13]]
-    for moduli in moduli_sets:
-        m = math.prod(moduli)
-        for _ in range(50):
-            x = rng.randrange(m)
-            r = [x % mod for mod in moduli]
-            assert crt(r, moduli) == x
-
-
-def test_crt_rejects_bad_input():
-    with pytest.raises(PreconditionError):
-        crt([1], [2, 3])
-    with pytest.raises(PreconditionError):
-        crt([1, 2], [4, 6])

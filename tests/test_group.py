@@ -363,14 +363,31 @@ def test_tables_match_reference_order(corpus):
     assert len(list(wide.tables())) == 2160
 
 
-def test_order_checker_matches_table_order():
+def brute_classes(elements, n, k):
+    """(first member, size) of each class of elements of order k, in
+    enumeration order, by conjugating with every element."""
+    seen = set()
+    out = []
+    for t in elements:
+        if t in seen or table_order(t, n) != k:
+            continue
+        members = {mul(mul(inv(c, n), t), c) for c in elements}
+        seen |= members
+        out.append((t, len(members)))
+    return out
+
+
+def test_p_power_checker_and_order_filter_match_table_order():
     for g in (catalog.symmetric(6), catalog.build_named("PGL2_7")):
         n = g.degree
         elements = list(g.tables())
+        for p, pe in ((2, 2), (2, 4), (2, 8), (3, 3), (3, 9), (5, 5), (7, 7)):
+            check = g._p_power_checker(p, pe)
+            expect = [t for t in elements if not is_ident(t) and pe % table_order(t, n) == 0]
+            assert [t for t in elements if check(t)] == expect, (g, p, pe)
         for k in range(1, 9):
-            check = g._order_checker(k)
-            expect = [t for t in elements if table_order(t, n) == k]
-            assert [t for t in elements if check(t)] == expect, (g, k)
+            got = [(c.representative.t, c.size) for c in g.class_representatives(order_filter=k)]
+            assert got == brute_classes(elements, n, k), (g, k)
 
 
 def brute_p_elements(g, p):

@@ -17,6 +17,7 @@ from radlab.structure import (
     derived_subgroup,
     p_elements,
     primary_decomposition,
+    primary_exponent,
     solvability,
     solvable_radical,
     two_part_split,
@@ -243,6 +244,16 @@ def test_primary_decomposition_p_element():
     x = Perm.from_cycles("(1 2 3)", 4)
     d = primary_decomposition(x)
     assert d.components == ((3, x),)
+
+
+def test_primary_exponent_solves_the_congruences():
+    from radlab.arith import factorize
+
+    for o in range(2, 2001):
+        for p, a in factorize(o):
+            pa = p**a
+            k = primary_exponent(o, pa)
+            assert 0 <= k < o and k % pa == 1 and k % (o // pa) == 0, (o, pa)
 
 
 def test_primary_decomposition_invariants_seeded(corpus):
