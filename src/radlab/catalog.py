@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .errors import CycleParseError, GroupFileError, OrderMismatchError, PreconditionError
 from .gf import GF
-from .group import PermutationGroup, group_from_cycles
+from .group import PermutationGroup
 from .linalg import (
     doubled_domain,
     doubled_frobenius_perm,
@@ -388,6 +388,12 @@ class CvlEntry:
     socle_order: int
     runnable: bool
     aut_order: int | None = None
+
+    def fits(self, cap: int) -> bool:
+        """Whether verify_cvl checks this entry under the enumeration cap: a
+        runnable entry (one with a known automorphism group order) whose
+        automorphism group has at most cap elements."""
+        return self.aut_order is not None and self.aut_order <= cap
 
 
 @dataclass(frozen=True)

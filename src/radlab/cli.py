@@ -153,10 +153,7 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         if args.name in ("all", "runnable"):
             for ln, lst in sorted(catalog.CVL_LISTS.items()):
                 for e in lst.entries:
-                    if args.name == "runnable" and not (
-                        e.runnable and e.aut_order is not None
-                        and e.aut_order <= cfg.enumeration_cap
-                    ):
+                    if args.name == "runnable" and not e.fits(cfg.enumeration_cap):
                         continue
                     reports.append(verify_cvl(e.socle, ln, **kw))
         else:

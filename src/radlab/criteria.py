@@ -7,9 +7,9 @@ criteria is that far smaller y-sets already decide membership:
   b1           y ranges over all of G (the baseline equivalence)
   odd-p        y ranges over p-elements for every odd prime p dividing |G|
   two-element  x itself is a p-element for an odd p; y ranges over 2-elements
-  combined     x = x2 * x2' (2-part times 2'-part): the 2-part is checked
-               against odd-prime p-elements, and each odd primary component
-               of x2' against 2-elements; together these decide x.
+  combined     over the primary components of x: the 2-component is
+               checked against odd-prime p-elements, and each odd component
+               against 2-elements; together these decide x.
 
 Every pair <x, y> is decided by structure.solvability, the descent that
 also answers the radical oracle. A false verdict always carries a Witness: a
@@ -27,29 +27,30 @@ the commuting strong generators listed once per loop. Only solvable pairs
 are ever skipped, so the first nonsolvable y in enumeration order is tested
 and found as without either skip; pairs_tested can only fall.
 
-Every member_* criterion runs one path, _check, over one family of y: all
-of G for b1 (kind None), the 2-elements (kind 2), or the p-elements of the
-odd primes of |G| (kind "odd"). A cheap deterministic probe (built from
-strong generators) runs first to find witnesses early: once per checked
-element, because its candidates (the elements themselves, 2-elements, or
-elements of any odd prime-power order) do not depend on the prime being
-scanned. The exhaustive scan follows, one loop per prime, with p None
-standing for all of G. find_witness keeps the strict primes-ascending,
-enumeration-order, first-hit contract and no probe.
+Every criterion is one scan, _scan, of <checked, y> over one family of y:
+all of G for b1 (kind None), the 2-elements (kind 2), the p-elements of the
+odd primes of |G| (kind "odd"), or those of every prime of |G| (kind "any",
+find_witness only). _family_primes lists a family's primes ascending, p None
+standing for all of G. A member_* scan first runs a cheap deterministic
+probe to find witnesses early: elements built from strong generators, or
+their components for the family's primes. The exhaustive loop follows, one
+pass per prime. find_witness runs no probe and keeps the strict
+primes-ascending, enumeration-order, first-hit contract.
 
 Scan outcomes are memoized on the group whose y are scanned (the domain, for
-find_witness), in PermutationGroup._scan_cache. A probe is keyed by (checked
-table, kind) and one prime's exhaustive loop by (checked table, p, cap), with
-p None for all of G: its outcome depends on nothing else, because the cap
-decides which pair subgroups may be enumerated for coverage, and the
-commuting strong generators depend only on the group and the checked table.
-An entry holds the pairs the scan tested and its first nonsolvable y with
-the prime, subgroup order and derived steps, or no hit. Only finished loops
-are stored, and the memo is cleared with the p-element cache whenever the
-group grows. A hit replays the stored pair count, so pairs_tested, the
-witness and the pair-cap error are those of a fresh scan whatever was asked
-before: the cap fires when the loop counted any pair and the running count
-exceeds it.
+find_witness), in PermutationGroup._scan_cache: one entry per finished scan
+under (checked table, kind, probe, cap). The outcome depends on nothing
+else, because the cap decides which pair subgroups may be enumerated for
+coverage, and the commuting strong generators depend only on the group and
+the checked table. An entry holds the pairs the probe tested, the pairs the
+loop tested, and the first nonsolvable y with its prime, subgroup order and
+derived steps, or no hit. A scan stopped by the pair cap stores nothing, and
+the memo is cleared with the p-element cache whenever the group grows. A hit
+replays the stored counts, so pairs_tested, the witness and the pair-cap
+error are those of a fresh scan whatever was asked before. A fresh scan
+checks its budget each time the loop counts a pair and never in the probe,
+so a hit is refused exactly when the loop counted a pair and the probe and
+loop pairs together exceed the budget.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .arith import factorize, p_part
 from .errors import CapExceededError, MembershipError, PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, inv, is_ident, mul, pow_table, table_order
-from .structure import primary_decomposition, primary_exponent, solvability, two_part_split
+from .structure import primary_decomposition, primary_exponent, solvability
 
 DEFAULT_PAIR_CAP = 10_000_000
 
@@ -114,20 +115,30 @@ def _prime_of_order(o: int) -> int | None:
     return f[0][0] if len(f) == 1 else None
 
 
-def _component_table(t, n: int, p: int):
-    """p-component of a raw table (power of t with p-power order)."""
-    o = table_order(t, n)
+def _family_primes(g: PermutationGroup, kind) -> list:
+    """The primes of a scan's family of y in g, ascending: [None] for all of
+    g (kind None), [2] for the 2-elements (kind 2; a group of odd order
+    streams none), else the odd primes ("odd") or all primes ("any") of |g|."""
+    if kind is None or kind == 2:
+        return [kind]
+    return [p for p in factorize(g.order).primes if kind == "any" or p != 2]
+
+
+def _component_table(t, n: int, p: int, o: int):
+    """p-component of a raw table t of order o (the power of t with p-power
+    order), or None when p does not divide o."""
     pa = p_part(o, p)
     if pa == 1:
         return None
     return t if pa == o else pow_table(t, primary_exponent(o, pa), n)
 
 
-def _probe_tables(g: PermutationGroup, xt, prime_kind) -> list:
+def _probe_tables(g: PermutationGroup, xt, kind) -> list:
     """Deterministic cheap witness candidates, all elements of g.
 
-    prime_kind None: strong generators, x-conjugates of them, a few products.
-    prime_kind "odd"/2/p: the matching primary components of those elements.
+    The base: strong generators, x-conjugates of them, a few products. Kind
+    None keeps the base elements; another kind keeps their components for
+    the primes of its family.
     """
     n = g.degree
     strong = g.strong_tables()
@@ -137,19 +148,15 @@ def _probe_tables(g: PermutationGroup, xt, prime_kind) -> list:
     for i, s in enumerate(strong[:6]):
         for t in strong[i + 1 : 6]:
             base.append(mul(s, t))
+    primes = _family_primes(g, kind)
     out: list = []
     seen: set = set()
     for t in base:
-        if prime_kind is None:
+        if kind is None:
             cands = [t]
-        elif prime_kind == "odd":
-            cands = []
-            for p, _a in factorize(table_order(t, n)):
-                if p != 2:
-                    cands.append(_component_table(t, n, p))
         else:
-            c = _component_table(t, n, prime_kind)
-            cands = [c] if c is not None else []
+            o = table_order(t, n)
+            cands = [_component_table(t, n, p, o) for p in primes]
         for c in cands:
             if c is not None and not is_ident(c) and c not in seen:
                 seen.add(c)
@@ -199,6 +206,83 @@ def _require_member(g: PermutationGroup, x: Perm) -> None:
         raise MembershipError(f"{x.cycles()} is not an element of the group")
 
 
+def _witness(x: Perm, n: int, hit) -> Witness:
+    yt, prime, order, steps = hit
+    return Witness(x, Perm(n, yt), prime, order, steps)
+
+
+def _scan(g: PermutationGroup, checked, kind, probe: bool, cap: int, budget: int):
+    """Memoized scan of <checked, y> over the family of kind in g: the probe
+    when asked, then the exhaustive loop over the family's primes in order,
+    enumeration order within a prime.
+
+    Returns (pairs tested, hit), hit = (y, prime, order, steps) of the first
+    nonsolvable pair or None, or None when the loop would take the pairs
+    tested past budget.
+    """
+    memo = g._scan_cache
+    key = (checked, kind, probe, cap)
+    out = memo.get(key)
+    if out is not None:
+        probed, looped, hit = out
+        if looped and probed + looped > budget:
+            return None
+        return probed + looped, hit
+    n = g.degree
+    tested = 0
+    hit = None
+    if probe:
+        for yt in _probe_tables(g, checked, kind):
+            tested += 1
+            solvable, order, steps, _h = _pair_solvable(n, checked, yt)
+            if not solvable:
+                hit = (yt, _prime_of_order(table_order(yt, n)), order, steps)
+                break
+    probed = tested
+    if hit is None:
+        for p in _family_primes(g, kind):
+            # <checked, 1> is cyclic, so the identity is covered from the start
+            covered = {g._ident}
+            ys = g.tables(cap) if p is None else g.p_element_tables(p, cap)
+            for yt in _untested(g, checked, ys, covered):
+                tested += 1
+                if tested > budget:
+                    return None
+                solvable, order, steps, h = _pair_solvable(n, checked, yt)
+                if not solvable:
+                    hit = (yt, p or _prime_of_order(table_order(yt, n)), order, steps)
+                    break
+                covered.update(_coverage(h, cap))
+            if hit is not None:
+                break
+    memo[key] = (probed, tested - probed, hit)
+    return tested, hit
+
+
+def _check(
+    g: PermutationGroup, x: Perm, kind, pair_cap: int, cap: int, tested: int
+) -> tuple[Witness | None, int]:
+    """Probe and scan <x, y> over the family of kind in g, with tested pairs
+    already counted against pair_cap. Returns the first witness or None, and
+    the running pair count."""
+    out = _scan(g, x.t, kind, True, cap, pair_cap - tested)
+    if out is None:
+        raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
+    count, hit = out
+    return (None if hit is None else _witness(x, g.degree, hit)), tested + count
+
+
+def _member(
+    g: PermutationGroup, x: Perm, kind, method: str, pair_cap: int, cap: int
+) -> MembershipVerdict:
+    _require_member(g, x)
+    if x.is_identity():
+        # <identity, y> is cyclic, hence solvable, for every y
+        return MembershipVerdict(x, method, True, None, 0)
+    w, tested = _check(g, x, kind, pair_cap, cap, 0)
+    return MembershipVerdict(x, method, w is None, w, tested)
+
+
 def member_b1(
     g: PermutationGroup,
     x: Perm,
@@ -206,110 +290,7 @@ def member_b1(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MembershipVerdict:
     """x in R(G) iff <x, y> is solvable for every y in G."""
-    _require_member(g, x)
-    xt = x.t
-    if is_ident(xt):
-        # <identity, y> is cyclic, hence solvable, for every y
-        return MembershipVerdict(x, METHOD_B1, True, None, 0)
-    w, tested = _check(g, xt, x, None, pair_cap, cap, 0)
-    return MembershipVerdict(x, METHOD_B1, w is None, w, tested)
-
-
-def _witness(x: Perm, n: int, hit) -> Witness:
-    yt, prime, order, steps = hit
-    return Witness(x, Perm(n, yt), prime, order, steps)
-
-
-def _probe(g: PermutationGroup, checked, kind) -> tuple[int, tuple | None]:
-    """Memoized probe of checked against the candidates of one kind (None,
-    "odd" or 2): (pairs tested, hit), hit = (y, prime, order, steps) of the
-    first nonsolvable pair or None. The candidates depend neither on p nor
-    on the enumeration cap."""
-    key = (checked, kind)
-    out = g._scan_cache.get(key)
-    if out is None:
-        n = g.degree
-        tested = 0
-        hit = None
-        for yt in _probe_tables(g, checked, kind):
-            tested += 1
-            solvable, order, steps, _h = _pair_solvable(n, checked, yt)
-            if not solvable:
-                hit = (yt, _prime_of_order(table_order(yt, n)), order, steps)
-                break
-        out = g._scan_cache[key] = (tested, hit)
-    return out
-
-
-def _exhaust(g: PermutationGroup, checked, primes, cap: int, budget: int):
-    """Exhaustive scan of <checked, y>, primes in the given order,
-    enumeration order within a prime: y ranges over the p-elements of g, or
-    over all of g for p None.
-
-    Returns (pairs tested, hit) as _probe does, or None when the scan would
-    test more than budget pairs. Each prime's outcome is memoized on g under
-    (checked, p, cap) once its loop has finished; a memoized prime counts its
-    pairs again and is refused exactly where a fresh loop would stop.
-    """
-    memo = g._scan_cache
-    n = g.degree
-    tested = 0
-    for p in primes:
-        left = budget - tested
-        key = (checked, p, cap)
-        out = memo.get(key)
-        if out is None:
-            count = 0
-            hit = None
-            # <checked, 1> is cyclic, so the identity is covered from the start
-            covered = {g._ident}
-            ys = g.tables(cap) if p is None else g.p_element_tables(p, cap)
-            for yt in _untested(g, checked, ys, covered):
-                count += 1
-                if count > left:
-                    return None
-                solvable, order, steps, h = _pair_solvable(n, checked, yt)
-                if not solvable:
-                    hit = (yt, p or _prime_of_order(table_order(yt, n)), order, steps)
-                    break
-                covered.update(_coverage(h, cap))
-            out = memo[key] = (count, hit)
-        elif out[0] and out[0] > left:
-            # a fresh loop checks the budget only after counting a pair
-            return None
-        tested += out[0]
-        if out[1] is not None:
-            return tested, out[1]
-    return tested, None
-
-
-def _check(
-    g: PermutationGroup,
-    checked,
-    checked_perm: Perm,
-    kind,
-    pair_cap: int,
-    cap: int,
-    tested: int,
-) -> tuple[Witness | None, int]:
-    """Run <checked, y> over one family of y in g: all of g (kind None), the
-    2-elements (kind 2) or the p-elements of the odd primes of |G| ascending
-    (kind "odd"); the probe once, then the exhaustive scan. Returns the
-    first witness or None, and the running pair count."""
-    primes = _odd_primes(g) if kind == "odd" else [kind]
-    count, hit = _probe(g, checked, kind)
-    tested += count
-    if hit is None:
-        out = _exhaust(g, checked, primes, cap, pair_cap - tested)
-        if out is None:
-            raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
-        count, hit = out
-        tested += count
-    return (None if hit is None else _witness(checked_perm, g.degree, hit)), tested
-
-
-def _odd_primes(g: PermutationGroup) -> list[int]:
-    return [p for p in factorize(g.order).primes if p != 2]
+    return _member(g, x, None, METHOD_B1, pair_cap, cap)
 
 
 def member_oddp(
@@ -319,12 +300,7 @@ def member_oddp(
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MembershipVerdict:
     """x in R(G) iff <x, y> is solvable for every p-element y, p odd."""
-    _require_member(g, x)
-    xt = x.t
-    if is_ident(xt):
-        return MembershipVerdict(x, METHOD_ODD_P, True, None, 0)
-    w, tested = _check(g, xt, x, "odd", pair_cap, cap, 0)
-    return MembershipVerdict(x, METHOD_ODD_P, w is None, w, tested)
+    return _member(g, x, "odd", METHOD_ODD_P, pair_cap, cap)
 
 
 def member_two_element(
@@ -341,7 +317,7 @@ def member_two_element(
         raise PreconditionError(
             f"x must be a p-element for an odd prime, but o(x) = {o}"
         )
-    w, tested = _check(g, x.t, x, 2, pair_cap, cap, 0)
+    w, tested = _check(g, x, 2, pair_cap, cap, 0)
     return MembershipVerdict(x, METHOD_TWO_ELEMENT, w is None, w, tested)
 
 
@@ -351,21 +327,19 @@ def member_combined(
     pair_cap: int = DEFAULT_PAIR_CAP,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MembershipVerdict:
-    """Split check: the 2-part of x against odd-prime p-elements, each odd
-    primary component of x against 2-elements."""
+    """Split check over the primary components of x, primes ascending: the
+    2-component against odd-prime p-elements, each odd component against
+    2-elements."""
     _require_member(g, x)
-    split = two_part_split(x)
     tested = 0
-    x2 = split.two_part
-    if not x2.is_identity():
-        w, tested = _check(g, x2.t, x2, "odd", pair_cap, cap, tested)
-        if w is not None:
-            return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
-    for p, comp in primary_decomposition(split.odd_part).components:
-        w, tested = _check(g, comp.t, comp, 2, pair_cap, cap, tested)
+    for p, comp in primary_decomposition(x).components:
+        w, tested = _check(g, comp, "odd" if p == 2 else 2, pair_cap, cap, tested)
         if w is not None:
             return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
     return MembershipVerdict(x, METHOD_COMBINED, True, None, tested)
+
+
+_CONSTRAINT_KINDS = {CONSTRAINT_ODD_P: "odd", CONSTRAINT_TWO_ELEMENT: 2, CONSTRAINT_ANY: "any"}
 
 
 def find_witness(
@@ -389,15 +363,9 @@ def find_witness(
     dom = domain if domain is not None else g
     if dom.degree != g.degree:
         raise PreconditionError("witness domain degree differs from the group's")
-    if constraint == CONSTRAINT_ODD_P:
-        primes = _odd_primes(dom)
-    elif constraint == CONSTRAINT_TWO_ELEMENT:
-        primes = [2] if dom.order % 2 == 0 else []
-    elif constraint == CONSTRAINT_ANY:
-        primes = list(factorize(dom.order).primes)
-    else:
+    if constraint not in _CONSTRAINT_KINDS:
         raise PreconditionError(f"unknown witness constraint {constraint!r}")
-    out = _exhaust(dom, x.t, primes, cap, pair_cap)
+    out = _scan(dom, x.t, _CONSTRAINT_KINDS[constraint], False, cap, pair_cap)
     if out is None:
         raise CapExceededError(f"pair cap {pair_cap} exhausted before the search finished")
     hit = out[1]

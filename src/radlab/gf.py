@@ -6,12 +6,10 @@ class sum(c_i * X^i) modulo a fixed monic irreducible polynomial of degree a.
 With this encoding 0 and 1 are the field's zero and one for every q, and
 addition in characteristic 2 is integer XOR.
 
-The defining polynomial for each (r, a) is a fixed shipped constant: the
-lexicographically least monic irreducible, where candidates X^a + sum(c_i X^i)
-are ordered by the integer encoding of (c_0..c_{a-1}). A literal table covers
-the fields small enough to enumerate quickly; other degrees fall back to the
-same deterministic search, so encodings are reproducible across runs either
-way.
+The defining polynomial for each (r, a) is the lexicographically least monic
+irreducible, where candidates X^a + sum(c_i X^i) are ordered by the integer
+encoding of (c_0..c_{a-1}). It is found by a deterministic search, so
+encodings are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -20,37 +18,6 @@ from functools import lru_cache
 
 from .arith import factorize
 from .errors import PreconditionError
-
-# (r, a) -> integer encoding of the non-leading coefficients (c_0..c_{a-1}).
-# Regenerated by _lex_least_irreducible; tests assert the table matches it.
-_IRRED_TABLE: dict[tuple[int, int], int] = {
-    (2, 2): 3,
-    (2, 3): 3,
-    (2, 4): 3,
-    (2, 5): 5,
-    (2, 6): 3,
-    (2, 7): 3,
-    (2, 8): 27,
-    (2, 9): 3,
-    (2, 10): 9,
-    (3, 2): 1,
-    (3, 3): 7,
-    (3, 4): 5,
-    (3, 5): 7,
-    (3, 6): 5,
-    (5, 2): 2,
-    (5, 3): 6,
-    (5, 4): 2,
-    (7, 2): 1,
-    (7, 3): 2,
-    (11, 2): 1,
-    (13, 2): 2,
-    (17, 2): 3,
-    (19, 2): 1,
-    (23, 2): 1,
-    (29, 2): 2,
-    (31, 2): 1,
-}
 
 
 def _poly_trim(p: list[int]) -> list[int]:
@@ -165,10 +132,7 @@ class FiniteField:
         if a == 1:
             self.irreducible = None
         else:
-            m = _IRRED_TABLE.get((r, a))
-            if m is None:
-                m = _lex_least_irreducible(r, a)
-            self.irreducible = _digits(m, r, a) + [1]
+            self.irreducible = _digits(_lex_least_irreducible(r, a), r, a) + [1]
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self._gen: int | None = None

@@ -215,7 +215,7 @@ def verify_cvl(
     entry = catalog.cvl_entry(list_name, socle_name)
     report = VerificationReport(socle_name, "cvl", list_name, STATUS_VERIFIED)
     t0 = time.perf_counter()
-    if not entry.runnable or entry.aut_order is None or entry.aut_order > cap:
+    if not entry.fits(cap):
         report.status = STATUS_OUT_OF_SCALE
         report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         return report

@@ -15,12 +15,13 @@ import random
 
 import pytest
 
-from radlab import catalog
+from radlab import catalog, criteria
 from radlab.arith import factorize
 from radlab.criteria import (
     CONSTRAINT_ANY,
     CONSTRAINT_ODD_P,
     CONSTRAINT_TWO_ELEMENT,
+    DEFAULT_PAIR_CAP,
     MembershipVerdict,
     Witness,
     _coverage,
@@ -656,8 +657,8 @@ def test_warm_scans_match_fresh_groups(corpus):
 
 def test_pair_cap_boundary_cold_and_warm(corpus):
     # one group object answers count - 1, count, count - 1, count: the first
-    # call is cold, the second finds the primes the capped call finished, and
-    # the last two find every scan of the query memoized
+    # call is cold, a scan the cap stopped stores nothing, and the last two
+    # find every scan of the query memoized
     loop_witnesses = 0
     for name in ("S4", "A5", "S3xA5", "PSL2_7"):
         g = corpus[name]
@@ -695,6 +696,33 @@ def test_pair_cap_boundary_cold_and_warm(corpus):
             for cap in (boundary - 1, boundary, boundary - 1, boundary):
                 got = outcome(fw, warm, x, pair_cap=cap)
                 assert got == (expect if cap == boundary else "capped"), (x.cycles(), cap)
+
+
+def test_repeated_queries_on_a_warm_group_test_no_pair(monkeypatch):
+    # the agreement tests above also pass on a memo key that never matches;
+    # here a repeat at the default pair cap, and one at a pair cap just large
+    # enough for the query, must find every scan memoized
+    calls = []
+    real = criteria._pair_solvable
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(criteria, "_pair_solvable", counting)
+    for name in ("S3xA5", "PSL2_7", "A5wr2"):
+        g = catalog.build_named(name)
+        for cls in g.class_representatives():
+            x = cls.representative
+            for fn in member_methods(x) + witness_calls():
+                calls.clear()
+                first = fn(g, x)
+                # find_witness never shares a scan with an earlier query here
+                tested = first.pairs_tested if isinstance(first, MembershipVerdict) else len(calls)
+                for pair_cap in (DEFAULT_PAIR_CAP, tested):
+                    calls.clear()
+                    assert fn(g, x, pair_cap=pair_cap) == first, (name, x.cycles(), pair_cap)
+                    assert not calls, (name, x.cycles(), pair_cap)
 
 
 def test_adopt_invalidates_the_scan_memo():

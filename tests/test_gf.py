@@ -1,23 +1,54 @@
-"""Finite fields: shipped polynomial table, axioms, Frobenius, orders."""
+"""Finite fields: defining polynomials, axioms, Frobenius, orders."""
 
 import random
 
 import pytest
 
 from radlab.errors import PreconditionError
-from radlab.gf import GF, _IRRED_TABLE, _is_irreducible, _lex_least_irreducible
+from radlab.gf import GF, _is_irreducible, _lex_least_irreducible
 
 SMALL_Q = (2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 49, 64, 81)
 
+# (r, a) -> integer encoding of the non-leading coefficients (c_0..c_{a-1})
+# of the defining polynomial of GF(r^a): the pinned output of the search
+PINNED_IRREDUCIBLES = {
+    (2, 2): 3,
+    (2, 3): 3,
+    (2, 4): 3,
+    (2, 5): 5,
+    (2, 6): 3,
+    (2, 7): 3,
+    (2, 8): 27,
+    (2, 9): 3,
+    (2, 10): 9,
+    (3, 2): 1,
+    (3, 3): 7,
+    (3, 4): 5,
+    (3, 5): 7,
+    (3, 6): 5,
+    (5, 2): 2,
+    (5, 3): 6,
+    (5, 4): 2,
+    (7, 2): 1,
+    (7, 3): 2,
+    (11, 2): 1,
+    (13, 2): 2,
+    (17, 2): 3,
+    (19, 2): 1,
+    (23, 2): 1,
+    (29, 2): 2,
+    (31, 2): 1,
+}
+
 
 def test_shipped_table_matches_search_rule():
-    # the literal table must equal the deterministic search it caches
-    for (r, a), enc in _IRRED_TABLE.items():
+    # the search must keep choosing the pinned polynomials
+    for (r, a), enc in PINNED_IRREDUCIBLES.items():
         assert _lex_least_irreducible(r, a) == enc, (r, a)
 
 
 def test_table_entries_are_irreducible():
-    for (r, a), enc in _IRRED_TABLE.items():
+    for (r, a), enc in PINNED_IRREDUCIBLES.items():
         coeffs = []
         m = enc
         for _ in range(a):
