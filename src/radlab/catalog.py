@@ -1,13 +1,19 @@
 """Named groups: recipe families, the test corpus, bundled datasets, and the
 cross-validation group lists.
 
-Group files are JSON: {"name", "degree", "generators": [cycle strings,
-1-based], "expected_order", "socle_generators": [indices into generators]}.
-expected_order is asserted on load. The data directory ships with the
-package; the RADLAB_DATA environment variable overrides it.
+Every name build_named accepts has one builder in _BUILDERS: a recipe, or,
+for the five list members with no recipe here (three unitary groups, PSp4(3)
+and Sz(8)), the marked socle of a bundled automorphism-group file written by
+tools/make_bundled_groups.py. Group files are JSON: {"name", "degree",
+"generators": [cycle strings, 1-based], "expected_order", "socle_generators":
+[indices into generators]}. expected_order is asserted on load. The data
+directory ships with the package; the RADLAB_DATA environment variable
+overrides it.
 
 Simple-group order formulas live here both to assert recipe correctness and
-to index list members that are beyond desk scale.
+to index list members that are beyond desk scale. _SOCLE_ORDERS and
+_AUT_ORDERS are the one source of each list member's orders, and
+cvl_realization is the one place that checks a realization against them.
 """
 
 from __future__ import annotations
@@ -238,52 +244,41 @@ def sl2_3_on_vectors() -> PermutationGroup:
 
 # ------------------------------------------------------------------ corpus
 
-def _corpus_builders() -> dict:
-    return {
-        "S3": lambda: symmetric(3),
-        "S4": lambda: symmetric(4),
-        "S5": lambda: symmetric(5),
-        "S6": lambda: symmetric(6),
-        "S7": lambda: symmetric(7),
-        "A4": lambda: alternating(4),
-        "A5": lambda: alternating(5),
-        "A6": lambda: alternating(6),
-        "A7": lambda: alternating(7),
-        "C2": lambda: cyclic(2),
-        "C3": lambda: cyclic(3),
-        "C6": lambda: cyclic(6),
-        "C12": lambda: cyclic(12),
-        "D4": lambda: dihedral(4),
-        "D5": lambda: dihedral(5),
-        "D6": lambda: dihedral(6),
-        "S3xA5": lambda: direct_product(symmetric(3), alternating(5)),
-        "C2xA5": lambda: direct_product(cyclic(2), alternating(5)),
-        "A5xA5": lambda: direct_product(alternating(5), alternating(5)),
-        "A5wr2": lambda: wreath_swap(alternating(5)),
-        "PSL2_3": lambda: projective_special_linear(2, 3),
-        "PSL2_4": lambda: projective_special_linear(2, 4),
-        "PSL2_5": lambda: projective_special_linear(2, 5),
-        "PSL2_7": lambda: projective_special_linear(2, 7),
-        "PSL2_8": lambda: projective_special_linear(2, 8),
-        "PSL2_9": lambda: projective_special_linear(2, 9),
-        "PSL2_11": lambda: projective_special_linear(2, 11),
-        "PSL2_13": lambda: projective_special_linear(2, 13),
-        "PGL2_7": lambda: projective_general_linear_2(7),
-        "PSL3_2": lambda: projective_special_linear(3, 2),
-        "SL2_3v": sl2_3_on_vectors,
-    }
-
-
-CORPUS = tuple(_corpus_builders().keys())
-
-_EXTRA_BUILDERS = {
-    "PSL3_3": lambda: projective_special_linear(3, 3),
-    "PSL3_4": lambda: projective_special_linear(3, 4),
-    "PSL4_2": lambda: projective_special_linear(4, 2),
-    "PSL2_27": lambda: projective_special_linear(2, 27),
+_BUILDERS = {
+    "S3": lambda: symmetric(3),
+    "S4": lambda: symmetric(4),
+    "S5": lambda: symmetric(5),
+    "S6": lambda: symmetric(6),
+    "S7": lambda: symmetric(7),
+    "A4": lambda: alternating(4),
+    "A5": lambda: alternating(5),
+    "A6": lambda: alternating(6),
+    "A7": lambda: alternating(7),
+    "C2": lambda: cyclic(2),
+    "C3": lambda: cyclic(3),
+    "C6": lambda: cyclic(6),
+    "C12": lambda: cyclic(12),
+    "D4": lambda: dihedral(4),
+    "D5": lambda: dihedral(5),
+    "D6": lambda: dihedral(6),
+    "S3xA5": lambda: direct_product(symmetric(3), alternating(5)),
+    "C2xA5": lambda: direct_product(cyclic(2), alternating(5)),
+    "A5xA5": lambda: direct_product(alternating(5), alternating(5)),
+    "A5wr2": lambda: wreath_swap(alternating(5)),
+    "PSL2_3": lambda: projective_special_linear(2, 3),
+    "PSL2_4": lambda: projective_special_linear(2, 4),
+    "PSL2_5": lambda: projective_special_linear(2, 5),
+    "PSL2_7": lambda: projective_special_linear(2, 7),
+    "PSL2_8": lambda: projective_special_linear(2, 8),
+    "PSL2_9": lambda: projective_special_linear(2, 9),
+    "PSL2_11": lambda: projective_special_linear(2, 11),
+    "PSL2_13": lambda: projective_special_linear(2, 13),
+    "PGL2_7": lambda: projective_general_linear_2(7),
+    "PSL3_2": lambda: projective_special_linear(3, 2),
+    "SL2_3v": sl2_3_on_vectors,
 }
 
-_BUNDLED = ("PSU3_3", "PSU4_2", "PSp4_3", "PSU3_4", "Sz_8")
+CORPUS = tuple(_BUILDERS)
 
 
 @dataclass(frozen=True)
@@ -311,6 +306,9 @@ def _check_group_file(path, data) -> None:
     gens = data.get("generators")
     if not isinstance(gens, list) or not all(isinstance(s, str) for s in gens):
         raise bad("generators", "must be a list of cycle strings")
+    expected = data.get("expected_order")
+    if expected is not None and not (_is_int(expected) and expected >= 1):
+        raise bad("expected_order", "must be a positive integer")
     name = data.get("name")
     if name is not None and not isinstance(name, str):
         raise bad("name", "must be a string")
@@ -360,24 +358,38 @@ def save_group_file(path, group: PermutationGroup, socle_indices=None) -> None:
         fh.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def _bundled(name: str) -> tuple[PermutationGroup, PermutationGroup]:
+    """(Aut(G0), G0) as stored in the bundled file of the list member name,
+    the socle named name."""
+    loaded = load_group_file(data_dir() / f"{name}.json")
+    if loaded.socle is None:
+        raise PreconditionError(f"bundled file for {name} lacks socle_generators")
+    loaded.socle.name = name
+    return loaded.group, loaded.socle
+
+
+# beyond the corpus: more projective groups, and the bundled socles
+_BUILDERS.update({
+    "PSL3_3": lambda: projective_special_linear(3, 3),
+    "PSL3_4": lambda: projective_special_linear(3, 4),
+    "PSL4_2": lambda: projective_special_linear(4, 2),
+    "PSL2_27": lambda: projective_special_linear(2, 27),
+    **{n: (lambda n=n: _bundled(n)[1]) for n in ("PSU3_3", "PSU4_2", "PSp4_3", "PSU3_4", "Sz_8")},
+})
+
+
 def build_named(name: str) -> PermutationGroup:
     """A catalog group by name: corpus entries, extra projective groups, and
     bundled socles. For bundled automorphism-group files the named simple
     group is the marked socle, which is what this returns."""
-    builders = _corpus_builders()
-    if name in builders:
-        return builders[name]()
-    if name in _EXTRA_BUILDERS:
-        return _EXTRA_BUILDERS[name]()
-    if name in _BUNDLED:
-        loaded = load_group_file(data_dir() / f"{name}.json")
-        socle = loaded.socle if loaded.socle is not None else loaded.group
-        return PermutationGroup(socle.degree, socle.generators, name=name)
-    raise PreconditionError(f"unknown group name {name!r}")
+    builder = _BUILDERS.get(name)
+    if builder is None:
+        raise PreconditionError(f"unknown group name {name!r}")
+    return builder()
 
 
 def known_names() -> list[str]:
-    return list(CORPUS) + list(_EXTRA_BUILDERS) + list(_BUNDLED)
+    return list(_BUILDERS)
 
 
 # --------------------------------------------------- cross-validation lists
@@ -386,21 +398,24 @@ def known_names() -> list[str]:
 class CvlEntry:
     socle: str
     socle_order: int
-    runnable: bool
     aut_order: int | None = None
+
+    @property
+    def runnable(self) -> bool:
+        """Whether the automorphism group order is known, so it is realized."""
+        return self.aut_order is not None
 
     def fits(self, cap: int) -> bool:
         """Whether verify_cvl checks this entry under the enumeration cap: a
-        runnable entry (one with a known automorphism group order) whose
-        automorphism group has at most cap elements."""
-        return self.aut_order is not None and self.aut_order <= cap
+        runnable entry whose automorphism group has at most cap elements."""
+        return self.runnable and self.aut_order <= cap
 
 
 @dataclass(frozen=True)
 class CvlList:
     name: str
     x_order: int
-    witness_kind: str  # "odd-p" or "two-element"
+    witness_kind: str  # the find_witness constraint: "odd-p" or "two-element"
     entries: tuple
 
 
@@ -409,10 +424,6 @@ class CvlRealization:
     name: str
     group: PermutationGroup  # the full automorphism group, as permutations
     socle: PermutationGroup
-
-
-def _e(socle, socle_order, aut_order=None):
-    return CvlEntry(socle, socle_order, aut_order is not None, aut_order)
 
 
 _SOCLE_ORDERS = {
@@ -464,7 +475,7 @@ _AUT_ORDERS = {
 
 
 def _entry(name: str) -> CvlEntry:
-    return _e(name, _SOCLE_ORDERS[name], _AUT_ORDERS.get(name))
+    return CvlEntry(name, _SOCLE_ORDERS[name], _AUT_ORDERS.get(name))
 
 
 CVL_LISTS = {
@@ -508,20 +519,13 @@ def cvl_entry(list_name: str, socle_name: str) -> CvlEntry:
     raise PreconditionError(f"{socle_name!r} is not in {list_name}")
 
 
-def _real_semilinear(name: str, q: int) -> CvlRealization:
-    g, socle = projective_semilinear_2(q)
-    return CvlRealization(name, g, socle)
-
-
-def _real_s8() -> CvlRealization:
+def _real_s8() -> tuple[PermutationGroup, PermutationGroup]:
     a8 = alternating(8)
     swap = Perm.from_images([1, 0] + list(range(2, 8)), 8)
-    g = PermutationGroup(8, a8.generators + [swap], name="S8")
-    _assert_order(g, 40320)
-    return CvlRealization("PSL4_2", g, a8)
+    return PermutationGroup(8, a8.generators + [swap], name="S8"), a8
 
 
-def _real_psl3_doubled(q: int, with_diag: bool, expected_aut: int, name: str) -> CvlRealization:
+def _real_psl3_doubled(q: int, with_diag: bool) -> tuple[PermutationGroup, PermutationGroup]:
     k = GF(q)
     dom, idx = doubled_domain(k, 3)
     n = len(dom)
@@ -533,47 +537,37 @@ def _real_psl3_doubled(q: int, with_diag: bool, expected_aut: int, name: str) ->
         extra.append(doubled_frobenius_perm(k, dom, idx))
     extra.append(duality_perm(dom, idx))
     g = PermutationGroup(n, socle_gens + extra, name=f"PSL3_{q}_aut")
-    socle = PermutationGroup(n, socle_gens, name=f"PSL3_{q}")
-    _assert_order(socle, psl_order(3, q))
-    return CvlRealization(name, _assert_order(g, expected_aut), socle)
+    return g, PermutationGroup(n, socle_gens, name=f"PSL3_{q}")
 
 
-def _real_bundled(name: str) -> CvlRealization:
-    loaded = load_group_file(data_dir() / f"{name}.json")
-    if loaded.socle is None:
-        raise PreconditionError(f"bundled file for {name} lacks socle_generators")
-    return CvlRealization(name, loaded.group, loaded.socle)
-
-
+# socle name -> () -> (Aut(G0), G0)
 _REALIZERS = {
-    "A6": lambda: _real_semilinear("A6", 9),
-    "PSL3_2": lambda: _real_semilinear("PSL3_2", 7),
-    "PSL2_8": lambda: _real_semilinear("PSL2_8", 8),
-    "PSL2_27": lambda: _real_semilinear("PSL2_27", 27),
-    "PSL3_3": lambda: _real_psl3_doubled(3, False, 11232, "PSL3_3"),
-    "PSL3_4": lambda: _real_psl3_doubled(4, True, 241920, "PSL3_4"),
+    "A6": lambda: projective_semilinear_2(9),
+    "PSL3_2": lambda: projective_semilinear_2(7),
+    "PSL2_8": lambda: projective_semilinear_2(8),
+    "PSL2_27": lambda: projective_semilinear_2(27),
+    "PSL3_3": lambda: _real_psl3_doubled(3, False),
+    "PSL3_4": lambda: _real_psl3_doubled(4, True),
     "PSL4_2": _real_s8,
-    "PSU3_3": lambda: _real_bundled("PSU3_3"),
-    "PSU4_2": lambda: _real_bundled("PSU4_2"),
-    "PSp4_3": lambda: _real_bundled("PSp4_3"),
-    "PSU3_4": lambda: _real_bundled("PSU3_4"),
-    "Sz_8": lambda: _real_bundled("Sz_8"),
+    "PSU3_3": lambda: _bundled("PSU3_3"),
+    "PSU4_2": lambda: _bundled("PSU4_2"),
+    "PSp4_3": lambda: _bundled("PSp4_3"),
+    "PSU3_4": lambda: _bundled("PSU3_4"),
+    "Sz_8": lambda: _bundled("Sz_8"),
 }
 
 
 def cvl_realization(socle_name: str) -> CvlRealization:
-    """Aut(G0) with its distinguished socle, for a runnable list member."""
+    """Aut(G0) with its distinguished socle, for a runnable list member; both
+    orders are checked against _AUT_ORDERS and _SOCLE_ORDERS."""
     maker = _REALIZERS.get(socle_name)
     if maker is None:
         raise PreconditionError(f"no desk-scale realization for {socle_name!r}")
-    real = _REALIZERS[socle_name]()
-    expected = _AUT_ORDERS[socle_name]
-    if real.group.order != expected:
-        raise OrderMismatchError(
-            f"{socle_name}: automorphism group order {real.group.order}, expected {expected}"
-        )
-    if real.socle.order != _SOCLE_ORDERS[socle_name]:
-        raise OrderMismatchError(
-            f"{socle_name}: socle order {real.socle.order}, expected {_SOCLE_ORDERS[socle_name]}"
-        )
-    return real
+    group, socle = maker()
+    for what, g, expected in (
+        ("automorphism group", group, _AUT_ORDERS[socle_name]),
+        ("socle", socle, _SOCLE_ORDERS[socle_name]),
+    ):
+        if g.order != expected:
+            raise OrderMismatchError(f"{socle_name}: {what} order {g.order}, expected {expected}")
+    return CvlRealization(socle_name, group, socle)

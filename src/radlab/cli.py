@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="largest group order that will be enumerated "
                              f"(default {DEFAULT_ENUMERATION_CAP})")
     common.add_argument("--pair-cap", type=int, default=argparse.SUPPRESS,
-                        help="solvability tests allowed per run "
+                        help="solvability tests allowed per criterion call "
                              f"(default {DEFAULT_PAIR_CAP})")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
                         help="worker processes for per-representative checks")

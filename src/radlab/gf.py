@@ -8,8 +8,8 @@ addition in characteristic 2 is integer XOR.
 
 The defining polynomial for each (r, a) is the lexicographically least monic
 irreducible, where candidates X^a + sum(c_i X^i) are ordered by the integer
-encoding of (c_0..c_{a-1}). It is found by a deterministic search, so
-encodings are reproducible across runs.
+encoding of (c_0..c_{a-1}). It is found by trial division of each candidate
+in that order, so encodings are reproducible across runs.
 """
 
 from __future__ import annotations
@@ -26,6 +26,18 @@ def _poly_trim(p: list[int]) -> list[int]:
     return p
 
 
+def _poly_mod(p: list[int], f: list[int], r: int) -> list[int]:
+    """p reduced in place modulo monic f, coefficients mod r."""
+    a = len(f) - 1
+    for k in range(len(p) - 1, a - 1, -1):
+        c = p[k]
+        if c:
+            p[k] = 0
+            for i in range(a):
+                p[k - a + i] = (p[k - a + i] - c * f[i]) % r
+    return _poly_trim(p)
+
+
 def _poly_mulmod(x: list[int], y: list[int], f: list[int], r: int) -> list[int]:
     """Product of coefficient lists modulo monic f, coefficients mod r."""
     prod = [0] * (len(x) + len(y) - 1) if x and y else []
@@ -33,64 +45,18 @@ def _poly_mulmod(x: list[int], y: list[int], f: list[int], r: int) -> list[int]:
         if xi:
             for j, yj in enumerate(y):
                 prod[i + j] = (prod[i + j] + xi * yj) % r
-    # reduce: f is monic of degree a
-    a = len(f) - 1
-    for k in range(len(prod) - 1, a - 1, -1):
-        c = prod[k]
-        if c:
-            prod[k] = 0
-            for i in range(a):
-                prod[k - a + i] = (prod[k - a + i] - c * f[i]) % r
-    return _poly_trim(prod)
-
-
-def _poly_powmod(base: list[int], e: int, f: list[int], r: int) -> list[int]:
-    result = [1]
-    b = list(base)
-    while e:
-        if e & 1:
-            result = _poly_mulmod(result, b, f, r)
-        b = _poly_mulmod(b, b, f, r)
-        e >>= 1
-    return result
-
-
-def _poly_gcd(x: list[int], y: list[int], r: int) -> list[int]:
-    x, y = list(x), list(y)
-    while _poly_trim(y):
-        # x mod y with y made monic
-        inv_lead = pow(y[-1], -1, r)
-        y = [(c * inv_lead) % r for c in y]
-        while len(x) >= len(y) and _poly_trim(x):
-            c = x[-1]
-            shift = len(x) - len(y)
-            for i, yc in enumerate(y):
-                x[shift + i] = (x[shift + i] - c * yc) % r
-            _poly_trim(x)
-        x, y = y, x
-    return x
+    return _poly_mod(prod, f, r)
 
 
 def _is_irreducible(f: list[int], r: int) -> bool:
-    """Rabin's test for monic f of degree >= 1 over GF(r)."""
+    """Trial division of monic f of degree a >= 1 over GF(r) by every monic
+    polynomial of degree 1 to a/2."""
     a = len(f) - 1
-    x = [0, 1]
-    # X^(r^a) = X (mod f)
-    t = _poly_powmod(x, r**a, f, r)
-    if _poly_trim([(ti - xi) % r for ti, xi in zip_pad(t, x)]):
-        return False
-    for p in {p for p, _ in factorize(a)}:
-        t = _poly_powmod(x, r ** (a // p), f, r)
-        diff = [(ti - xi) % r for ti, xi in zip_pad(t, x)]
-        g = _poly_gcd(list(f), diff, r)
-        if len(g) != 1:
-            return False
+    for d in range(1, a // 2 + 1):
+        for m in range(r**d):
+            if not _poly_mod(list(f), _digits(m, r, d) + [1], r):
+                return False
     return True
-
-
-def zip_pad(x: list[int], y: list[int]):
-    n = max(len(x), len(y))
-    return zip(x + [0] * (n - len(x)), y + [0] * (n - len(y)))
 
 
 def _lex_least_irreducible(r: int, a: int) -> int:

@@ -162,9 +162,9 @@ def vector_perm(k: FiniteField, vectors: list, index: dict, m: Mat) -> Perm:
     return perm_from_domain_map(vectors, index, lambda v: vec_mat(k, v, m))
 
 
-def frobenius_point_perm(k: FiniteField, points: list, index: dict, steps: int = 1) -> Perm:
+def frobenius_point_perm(k: FiniteField, points: list, index: dict) -> Perm:
     def fn(v):
-        return tuple(k.frobenius(x, steps) for x in v)
+        return tuple(k.frobenius(x) for x in v)
 
     return perm_from_domain_map(points, index, fn)
 
@@ -188,10 +188,10 @@ def doubled_matrix_perm(k: FiniteField, domain: list, index: dict, m: Mat) -> Pe
     return perm_from_domain_map(domain, index, fn)
 
 
-def doubled_frobenius_perm(k: FiniteField, domain: list, index: dict, steps: int = 1) -> Perm:
+def doubled_frobenius_perm(k: FiniteField, domain: list, index: dict) -> Perm:
     def fn(x):
         side, v = x
-        return (side, tuple(k.frobenius(y, steps) for y in v))
+        return (side, tuple(k.frobenius(y) for y in v))
 
     return perm_from_domain_map(domain, index, fn)
 

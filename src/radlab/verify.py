@@ -23,8 +23,6 @@ from dataclasses import dataclass, field
 
 from . import catalog
 from .criteria import (
-    CONSTRAINT_ODD_P,
-    CONSTRAINT_TWO_ELEMENT,
     DEFAULT_PAIR_CAP,
     METHOD_B1,
     METHOD_COMBINED,
@@ -39,7 +37,7 @@ from .criteria import (
     member_oddp,
     member_two_element,
 )
-from .errors import CapExceededError, PreconditionError
+from .errors import CapExceededError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
 from .perm import Perm, format_cycles, table_order
 from .structure import solvable_radical
@@ -209,22 +207,19 @@ def verify_cvl(
 ) -> VerificationReport:
     """Restricted-witness check for one list member, or an honest
     out-of-desk-scale report when its automorphism group exceeds the cap."""
-    lst = catalog.CVL_LISTS.get(list_name)
-    if lst is None:
-        raise PreconditionError(f"unknown list {list_name!r}")
     entry = catalog.cvl_entry(list_name, socle_name)
+    lst = catalog.CVL_LISTS[list_name]
     report = VerificationReport(socle_name, "cvl", list_name, STATUS_VERIFIED)
     t0 = time.perf_counter()
     if not entry.fits(cap):
         report.status = STATUS_OUT_OF_SCALE
         report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         return report
-    constraint = CONSTRAINT_ODD_P if lst.witness_kind == "odd-p" else CONSTRAINT_TWO_ELEMENT
     real = catalog.cvl_realization(socle_name)
     try:
         _items, checks = _class_checks(
             real.group, _cvl_task, cap, workers, order_filter=lst.x_order,
-            socle=real.socle, constraint=constraint, pair_cap=pair_cap,
+            socle=real.socle, constraint=lst.witness_kind, pair_cap=pair_cap,
         )
         report.checks = _sorted_checks(checks)
         if not all(c.agreed for c in report.checks):

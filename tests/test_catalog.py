@@ -188,6 +188,28 @@ def test_build_named_extras_and_bundled():
     assert build_named("Sz_8").order == 29120
 
 
+def test_build_named_bundled_socle_is_built_once(monkeypatch):
+    # loading the file builds Aut(G0) and its socle; the socle is returned
+    built = []
+    init = PermutationGroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "__init__", counting_init)
+    g = build_named("PSU3_3")
+    assert len(built) == 2
+    assert g.name == "PSU3_3" and g.order == 6048
+
+
+@pytest.mark.parametrize("table", ["_AUT_ORDERS", "_SOCLE_ORDERS"])
+def test_cvl_realization_checks_both_orders(monkeypatch, table):
+    monkeypatch.setitem(getattr(catalog, table), "PSL3_2", 169)
+    with pytest.raises(OrderMismatchError, match="PSL3_2.*expected 169"):
+        cvl_realization("PSL3_2")
+
+
 def test_group_file_round_trip(tmp_path):
     s4 = symmetric(4)
     p = tmp_path / "s4.json"

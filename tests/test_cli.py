@@ -54,6 +54,10 @@ def test_order_malformed_file(tmp_path, capsys):
     ({"degree": 5, "generators": ["(1 2)"], "socle_generators": [1]}, "socle_generators"),
     ({"degree": 5, "generators": ["(1 2)"], "socle_generators": [-1]}, "socle_generators"),
     ({"degree": 5, "generators": ["(1 2)"], "socle_generators": 0}, "socle_generators"),
+    ({"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"], "expected_order": "24"}, "expected_order"),
+    ({"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"], "expected_order": 24.0}, "expected_order"),
+    ({"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"], "expected_order": 0}, "expected_order"),
+    ({"degree": 4, "generators": ["(1 2 3 4)", "(1 2)"], "expected_order": True}, "expected_order"),
 ])
 def test_order_group_file_schema(tmp_path, capsys, data, field):
     p = tmp_path / "bad.json"

@@ -58,6 +58,29 @@ def test_table_entries_are_irreducible():
         assert _is_irreducible(poly, r), (r, a)
 
 
+def test_irreducible_counts_match_gauss_formula():
+    # monic irreducibles of degree a over GF(r): (1/a) sum_{d | a} mu(d) r^(a/d)
+    def mobius(n):
+        out, p = 1, 2
+        while n > 1:
+            if n % p == 0:
+                n //= p
+                if n % p == 0:
+                    return 0
+                out = -out
+            p += 1
+        return out
+
+    for r, top in ((2, 8), (3, 5), (5, 3), (7, 3), (13, 2)):
+        for a in range(1, top + 1):
+            gauss = sum(mobius(d) * r ** (a // d) for d in range(1, a + 1) if a % d == 0) // a
+            hits = 0
+            for m in range(r**a):
+                coeffs = [(m // r**i) % r for i in range(a)]
+                hits += _is_irreducible(coeffs + [1], r)
+            assert hits == gauss, (r, a)
+
+
 def test_gf_rejects_non_prime_powers():
     for q in (1, 6, 12, 100):
         with pytest.raises(PreconditionError):

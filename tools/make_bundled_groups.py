@@ -1,11 +1,12 @@
-"""Generate the bundled group files in src/radlab/data/.
+"""Generate the bundled automorphism-group files in src/radlab/data/.
 
-Unitary and symplectic groups are built from form-preserving transvections;
-the Suzuki group from its natural 4x4 matrices over GF(8). Linear-family
-bundles are dumped from the catalog recipes. Every file is order-asserted
-against the closed-form order formulas before it is written, and the
-automorphism-group files carry socle_generators indices marking the simple
-socle inside the extension.
+The files hold Aut(G0) for the five list members with no catalog recipe:
+PSU3(3), PSU4(2) and PSU3(4) from unitary transvections, PSp4(3) from
+symplectic transvections, and Sz(8) from its natural 4x4 matrices over
+GF(8). Each file marks the simple socle inside the extension with
+socle_generators indices, and is read back and checked against
+catalog._AUT_ORDERS and catalog._SOCLE_ORDERS. The tool also writes
+cvl_index.json from the catalog rosters, and writes nothing else.
 
 Run from the repository root:
 
@@ -26,9 +27,11 @@ from radlab.gf import GF, FiniteField
 from radlab.group import PermutationGroup
 from radlab.linalg import (
     det,
+    frobenius_point_perm,
     identity_matrix,
     mat_mul,
-    perm_from_domain_map,
+    normalize_point,
+    point_perm,
     projective_points,
     transpose,
     vec_mat,
@@ -73,23 +76,8 @@ def _symp(k: FiniteField, x, y) -> int:
 
 def _is_symplectic(k: FiniteField, m) -> bool:
     d = len(m)
-    for a in range(d):
-        for b in range(d):
-            ea = tuple(1 if i == a else 0 for i in range(d))
-            eb = tuple(1 if i == b else 0 for i in range(d))
-            if _symp(k, m[a], m[b]) != _symp(k, ea, eb):
-                return False
-    return True
-
-
-def _normalize(k: FiniteField, v):
-    for x in v:
-        if x:
-            if x == 1:
-                return tuple(v)
-            c = k.inv(x)
-            return tuple(k.mul(c, y) for y in v)
-    return None
+    e = identity_matrix(d)
+    return all(_symp(k, m[a], m[b]) == _symp(k, e[a], e[b]) for a in range(d) for b in range(d))
 
 
 def _greedy_generators(degree: int, perms, target: int):
@@ -102,82 +90,59 @@ def _greedy_generators(degree: int, perms, target: int):
         chosen.append(p)
         group = PermutationGroup(degree, chosen)
         if group.order == target:
-            return chosen, group
+            return chosen
     raise OrderMismatchError(
         f"candidates generate order {0 if group is None else group.order}, wanted {target}"
     )
 
 
+def _transvection_socle(k: FiniteField, pts, idx, form, preserves, target: int):
+    """Greedy socle generators among the transvections w -> w + lam*form(w, v)*v,
+    v in pts and lam nonzero, of determinant 1 that preserve the form."""
+    d = len(pts[0])
+    perms = []
+    for v in pts:
+        for lam in range(1, k.q):
+            m = tuple(
+                tuple(k.add(e[j], k.mul(k.mul(lam, form(k, e, v)), v[j])) for j in range(d))
+                for e in identity_matrix(d)
+            )
+            if m != identity_matrix(d) and det(k, m) == 1 and preserves(k, m):
+                perms.append(point_perm(k, pts, idx, m))
+    return _greedy_generators(len(pts), perms, target)
+
+
 # ----------------------------------------------------------- constructions
+# each returns (degree, socle perms, outer perms) for a socle of order target
 
 def unitary_group(q0: int, d: int, target: int):
-    """(domain points, socle perms, field auto perms) for PSU_d(q0) with its
-    full diagonal+field extension on the isotropic points of PG(d-1, q0^2)."""
+    """PSU_d(q0) with its full diagonal+field extension on the isotropic
+    points of PG(d-1, q0^2)."""
     k = GF(q0 * q0)
     pts = [p for p in projective_points(k, d) if _herm(k, p, p) == 0]
     idx = {p: i for i, p in enumerate(pts)}
-
-    mats = []
-    for v in pts:
-        for lam in range(1, k.q):
-            rows = []
-            for i in range(d):
-                e = [1 if j == i else 0 for j in range(d)]
-                coef = k.mul(lam, _herm(k, tuple(e), v))
-                rows.append(tuple(k.add(e[j], k.mul(coef, v[j])) for j in range(d)))
-            m = tuple(rows)
-            if m != identity_matrix(d) and det(k, m) == 1 and _is_unitary(k, m):
-                mats.append(m)
-
-    perms = [
-        perm_from_domain_map(pts, idx, lambda w, m=m: _normalize(k, vec_mat(k, w, m)))
-        for m in mats
-    ]
-    gens, group = _greedy_generators(len(pts), perms, target)
-    frob = perm_from_domain_map(pts, idx, lambda w: tuple(k.frobenius(x, 1) for x in w))
-    return pts, gens, [frob], group
+    gens = _transvection_socle(k, pts, idx, _herm, _is_unitary, target)
+    return len(pts), gens, [frobenius_point_perm(k, pts, idx)]
 
 
-def symplectic_4_3():
-    """(points, socle perms, similitude perm, socle group) for PSp4(3) on the
-    40 points of PG(3, 3)."""
+def symplectic_4_3(target: int):
+    """PSp4(3) with a similitude on the 40 points of PG(3, 3)."""
     k = GF(3)
-    d = 4
-    pts = projective_points(k, d)
+    pts = projective_points(k, 4)
     idx = {p: i for i, p in enumerate(pts)}
-
-    mats = []
-    for v in pts:
-        for lam in (1, 2):
-            rows = []
-            for i in range(d):
-                e = [1 if j == i else 0 for j in range(d)]
-                coef = k.mul(lam, _symp(k, tuple(e), v))
-                rows.append(tuple(k.add(e[j], k.mul(coef, v[j])) for j in range(d)))
-            m = tuple(rows)
-            if m != identity_matrix(d) and det(k, m) == 1 and _is_symplectic(k, m):
-                mats.append(m)
-
-    perms = [
-        perm_from_domain_map(pts, idx, lambda w, m=m: _normalize(k, vec_mat(k, w, m)))
-        for m in mats
-    ]
-    gens, group = _greedy_generators(len(pts), perms, catalog.psp_order(2, 3))
+    gens = _transvection_socle(k, pts, idx, _symp, _is_symplectic, target)
 
     sim = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 2, 0), (0, 0, 0, 2))
     mu = 2
-    for a in range(d):
-        for b in range(d):
-            ea = tuple(1 if i == a else 0 for i in range(d))
-            eb = tuple(1 if i == b else 0 for i in range(d))
-            assert _symp(k, sim[a], sim[b]) == k.mul(mu, _symp(k, ea, eb))
-    sim_perm = perm_from_domain_map(pts, idx, lambda w: _normalize(k, vec_mat(k, w, sim)))
-    return pts, gens, [sim_perm], group
+    e = identity_matrix(4)
+    for a in range(4):
+        for b in range(4):
+            assert _symp(k, sim[a], sim[b]) == k.mul(mu, _symp(k, e[a], e[b]))
+    return len(pts), gens, [point_perm(k, pts, idx, sim)]
 
 
-def suzuki_8():
-    """(ovoid points, socle perms, field auto perms, socle group) for Sz(8)
-    on its 65-point ovoid in PG(3, 8)."""
+def suzuki_8(target: int):
+    """Sz(8) with its field automorphisms on its 65-point ovoid in PG(3, 8)."""
     k = GF(8)
     theta = lambda x: k.frobenius(x, 2)  # x -> x^4, the square root of Frobenius
 
@@ -217,14 +182,14 @@ def suzuki_8():
     mats = [u_mat(1, 0), u_mat(0, 1), u_mat(g, 0), u_mat(0, g), m_mat(g), t_mat]
 
     # ovoid = orbit of the parabolic fixed point
-    start = _normalize(k, (1, 0, 0, 0))
+    start = normalize_point(k, (1, 0, 0, 0))
     orbit = {start}
     frontier = [start]
     while frontier:
         nxt = []
         for p in frontier:
             for m in mats:
-                q = _normalize(k, vec_mat(k, p, m))
+                q = normalize_point(k, vec_mat(k, p, m))
                 if q not in orbit:
                     orbit.add(q)
                     nxt.append(q)
@@ -233,37 +198,24 @@ def suzuki_8():
     assert len(pts) == 65, len(pts)
     idx = {p: i for i, p in enumerate(pts)}
 
-    perms = [
-        perm_from_domain_map(pts, idx, lambda w, m=m: _normalize(k, vec_mat(k, w, m)))
-        for m in mats
-    ]
-    gens, group = _greedy_generators(65, perms, catalog.sz_order(8))
-    frob = perm_from_domain_map(pts, idx, lambda w: tuple(k.frobenius(x, 1) for x in w))
-    return pts, gens, [frob], group
+    gens = _greedy_generators(65, [point_perm(k, pts, idx, m) for m in mats], target)
+    return 65, gens, [frobenius_point_perm(k, pts, idx)]
 
 
 # ----------------------------------------------------------------- emission
 
-def emit_aut_file(name: str, degree: int, socle_gens, extra_gens, aut_order: int):
-    gens = list(socle_gens) + list(extra_gens)
-    aut = PermutationGroup(degree, gens, name=f"{name}_aut")
-    if aut.order != aut_order:
-        raise OrderMismatchError(f"{name}: extension order {aut.order}, wanted {aut_order}")
-    # the stored generator list must reproduce both orders on load
-    catalog.save_group_file(OUT_DIR / f"{name}.json", aut,
-                            socle_indices=range(len(list(socle_gens))))
-    loaded = catalog.load_group_file(OUT_DIR / f"{name}.json")
-    assert loaded.group.order == aut_order
-    assert loaded.socle is not None and loaded.socle.order == catalog._SOCLE_ORDERS[name]
-    print(f"  {name}.json: aut {aut.order}, socle {loaded.socle.order}, degree {degree}")
-
-
-def emit_socle_file(name: str):
-    g = catalog.build_named(name)
-    catalog.save_group_file(OUT_DIR / f"{name}.json", g)
-    loaded = catalog.load_group_file(OUT_DIR / f"{name}.json")
-    assert loaded.group.order == g.order
-    print(f"  {name}.json: order {g.order}, degree {g.degree}")
+def emit_aut_file(name: str, degree: int, socle_gens, extra_gens):
+    """Write Aut(G0), socle generators first, and check that the file gives
+    back both catalog orders on load."""
+    path = OUT_DIR / f"{name}.json"
+    aut = PermutationGroup(degree, socle_gens + extra_gens, name=f"{name}_aut")
+    catalog.save_group_file(path, aut, socle_indices=range(len(socle_gens)))
+    loaded = catalog.load_group_file(path)
+    orders = (loaded.group.order, loaded.socle.order)
+    wanted = (catalog._AUT_ORDERS[name], catalog._SOCLE_ORDERS[name])
+    if orders != wanted:
+        raise OrderMismatchError(f"{name}: (aut, socle) orders {orders}, wanted {wanted}")
+    print(f"  {name}.json: aut {orders[0]}, socle {orders[1]}, degree {degree}")
 
 
 def emit_index():
@@ -292,27 +244,15 @@ def emit_index():
 
 def main():
     OUT_DIR.mkdir(parents=True, exist_ok=True)
-
-    print("unitary groups:")
-    pts, gens, extra, socle = unitary_group(3, 3, catalog.psu_order(3, 3))
-    emit_aut_file("PSU3_3", len(pts), gens, extra, 12096)
-    pts, gens, extra, socle = unitary_group(2, 4, catalog.psu_order(4, 2))
-    emit_aut_file("PSU4_2", len(pts), gens, extra, 51840)
-    pts, gens, extra, socle = unitary_group(4, 3, catalog.psu_order(3, 4))
-    emit_aut_file("PSU3_4", len(pts), gens, extra, 249600)
-
-    print("symplectic group:")
-    pts, gens, extra, socle = symplectic_4_3()
-    emit_aut_file("PSp4_3", len(pts), gens, extra, 51840)
-
-    print("Suzuki group:")
-    pts, gens, extra, socle = suzuki_8()
-    emit_aut_file("Sz_8", len(pts), gens, extra, 87360)
-
-    print("linear-family bundles:")
-    for name in ("A6", "PSL3_2", "PSL2_8", "PSL2_27", "PSL3_3", "PSL4_2", "PSL3_4"):
-        emit_socle_file(name)
-
+    print("automorphism groups:")
+    for name, build in (
+        ("PSU3_3", lambda t: unitary_group(3, 3, t)),
+        ("PSU4_2", lambda t: unitary_group(2, 4, t)),
+        ("PSU3_4", lambda t: unitary_group(4, 3, t)),
+        ("PSp4_3", symplectic_4_3),
+        ("Sz_8", suzuki_8),
+    ):
+        emit_aut_file(name, *build(catalog._SOCLE_ORDERS[name]))
     print("index:")
     emit_index()
 
