@@ -124,7 +124,8 @@ def _cmd_member(args, cfg: RunConfig) -> int:
               f"({method}, {v.pairs_tested} pairs tested)")
     else:
         w = v.witness
-        print(f"{args.element} is NOT in the solvable radical of {name} ({method})")
+        print(f"{args.element} is NOT in the solvable radical of {name} "
+              f"({method}, {v.pairs_tested} pairs tested)")
         print(f"witness: x = {format_cycles(w.x.t, g.degree)}, "
               f"y = {format_cycles(w.y.t, g.degree)}, p = {w.prime}, "
               f"|<x,y>| = {w.subgroup_order}")
@@ -184,7 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="solvability tests allowed per criterion call "
                              f"(default {DEFAULT_PAIR_CAP})")
     common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for per-representative checks")
+                        help="worker processes for per-representative checks; "
+                             "each report forks its own pool")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the JSON report here")
 

@@ -31,31 +31,33 @@ Every criterion is one scan, _scan, of <checked, y> over one family of y:
 all of G for b1 (kind None), the 2-elements (kind 2), the p-elements of the
 odd primes of |G| (kind "odd"), or those of every prime of |G| (kind "any",
 find_witness only). _family_primes lists a family's primes ascending, p None
-standing for all of G. A member_* scan first runs a cheap deterministic
+standing for all of G. A member_* scan first tests a cheap deterministic
 probe to find witnesses early: elements built from strong generators, or
-their components for the family's primes. The exhaustive loop follows, one
-pass per prime. find_witness runs no probe and keeps the strict
-primes-ascending, enumeration-order, first-hit contract.
+their components for the family's primes. The exhaustive loop follows over
+the family's primes in turn, behind one covered set. find_witness runs no
+probe and keeps the strict primes-ascending, enumeration-order, first-hit
+contract.
 
-Scan outcomes are memoized on the group whose y are scanned (the domain, for
-find_witness), in PermutationGroup._scan_cache: one entry per finished scan
-under (checked table, kind, probe, cap). The outcome depends on nothing
-else, because the cap decides which pair subgroups may be enumerated for
-coverage, and the commuting strong generators depend only on the group and
-the checked table. An entry holds the pairs the probe tested, the pairs the
-loop tested, and the first nonsolvable y with its prime, subgroup order and
-derived steps, or no hit. A scan stopped by the pair cap stores nothing, and
-the memo is cleared with the p-element cache whenever the group grows. A hit
-replays the stored counts, so pairs_tested, the witness and the pair-cap
-error are those of a fresh scan whatever was asked before. A fresh scan
-checks its budget each time the loop counts a pair and never in the probe,
-so a hit is refused exactly when the loop counted a pair and the probe and
-loop pairs together exceed the budget.
+Every pair either phase tests counts against the call's pair cap, and a
+scan raises CapExceededError as soon as the next pair would pass it; a scan
+that tests no pair never raises. Scan outcomes are memoized on the group
+whose y are scanned (the domain, for find_witness), in
+PermutationGroup._scan_cache: one entry per finished scan under (checked
+table, kind, probe, cap). The outcome depends on nothing else, because the
+cap decides which pair subgroups may be enumerated for coverage, and the
+commuting strong generators depend only on the group and the checked table.
+An entry holds the pairs the scan tested and its witness or None. A scan
+stopped by the pair cap stores nothing, and the memo is cleared with the
+p-element cache whenever the group grows. An entry is refused exactly when
+its pairs exceed what is left of the budget (taken as 0 when negative), so
+pairs_tested, the witness and the pair-cap error are those of a fresh scan
+whatever was asked before.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .arith import factorize, p_part
 from .errors import CapExceededError, MembershipError, PreconditionError
@@ -206,70 +208,49 @@ def _require_member(g: PermutationGroup, x: Perm) -> None:
         raise MembershipError(f"{x.cycles()} is not an element of the group")
 
 
-def _witness(x: Perm, n: int, hit) -> Witness:
-    yt, prime, order, steps = hit
-    return Witness(x, Perm(n, yt), prime, order, steps)
-
-
-def _scan(g: PermutationGroup, checked, kind, probe: bool, cap: int, budget: int):
-    """Memoized scan of <checked, y> over the family of kind in g: the probe
-    when asked, then the exhaustive loop over the family's primes in order,
-    enumeration order within a prime.
-
-    Returns (pairs tested, hit), hit = (y, prime, order, steps) of the first
-    nonsolvable pair or None, or None when the loop would take the pairs
-    tested past budget.
-    """
-    memo = g._scan_cache
-    key = (checked, kind, probe, cap)
-    out = memo.get(key)
-    if out is not None:
-        probed, looped, hit = out
-        if looped and probed + looped > budget:
-            return None
-        return probed + looped, hit
-    n = g.degree
-    tested = 0
-    hit = None
-    if probe:
-        for yt in _probe_tables(g, checked, kind):
-            tested += 1
-            solvable, order, steps, _h = _pair_solvable(n, checked, yt)
-            if not solvable:
-                hit = (yt, _prime_of_order(table_order(yt, n)), order, steps)
-                break
-    probed = tested
-    if hit is None:
-        for p in _family_primes(g, kind):
-            # <checked, 1> is cyclic, so the identity is covered from the start
-            covered = {g._ident}
-            ys = g.tables(cap) if p is None else g.p_element_tables(p, cap)
-            for yt in _untested(g, checked, ys, covered):
-                tested += 1
-                if tested > budget:
-                    return None
-                solvable, order, steps, h = _pair_solvable(n, checked, yt)
-                if not solvable:
-                    hit = (yt, p or _prime_of_order(table_order(yt, n)), order, steps)
-                    break
-                covered.update(_coverage(h, cap))
-            if hit is not None:
-                break
-    memo[key] = (probed, tested - probed, hit)
-    return tested, hit
-
-
-def _check(
-    g: PermutationGroup, x: Perm, kind, pair_cap: int, cap: int, tested: int
+def _scan(
+    g: PermutationGroup, x: Perm, kind, probe: bool, pair_cap: int, cap: int, tested: int = 0
 ) -> tuple[Witness | None, int]:
-    """Probe and scan <x, y> over the family of kind in g, with tested pairs
-    already counted against pair_cap. Returns the first witness or None, and
-    the running pair count."""
-    out = _scan(g, x.t, kind, True, cap, pair_cap - tested)
+    """Memoized scan of <x, y> over the family of kind in g: the probe's
+    candidates when asked, then the family's primes in order, enumeration
+    order within a prime, behind one covered set. Probe pairs cover nothing
+    (letting them cover measured slower on non-member queries).
+
+    tested pairs are already counted against pair_cap, and so is every pair
+    this scan tests. Returns the first witness or None, and the running pair
+    count; raises CapExceededError when a pair would take the count past
+    pair_cap.
+    """
+    budget = max(pair_cap - tested, 0)
+    key = (x.t, kind, probe, cap)
+    out = g._scan_cache.get(key)
     if out is None:
+        n, checked = g.degree, x.t
+        probed = _probe_tables(g, checked, kind) if probe else []
+        # <checked, 1> is cyclic, so the identity is covered from the start
+        covered = {g._ident}
+        ys = chain.from_iterable(
+            g.tables(cap) if p is None else g.p_element_tables(p, cap)
+            for p in _family_primes(g, kind)
+        )
+        pairs, w = 0, None
+        for yt in chain(probed, _untested(g, checked, ys, covered)):
+            pairs += 1
+            if pairs > budget:
+                break
+            solvable, order, steps, h = _pair_solvable(n, checked, yt)
+            if not solvable:
+                w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
+                break
+            if pairs > len(probed):
+                covered.update(_coverage(h, cap))
+        out = (pairs, w)
+        if pairs <= budget:
+            g._scan_cache[key] = out
+    pairs, w = out
+    if pairs > budget:
         raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")
-    count, hit = out
-    return (None if hit is None else _witness(x, g.degree, hit)), tested + count
+    return w, tested + pairs
 
 
 def _member(
@@ -279,7 +260,7 @@ def _member(
     if x.is_identity():
         # <identity, y> is cyclic, hence solvable, for every y
         return MembershipVerdict(x, method, True, None, 0)
-    w, tested = _check(g, x, kind, pair_cap, cap, 0)
+    w, tested = _scan(g, x, kind, True, pair_cap, cap)
     return MembershipVerdict(x, method, w is None, w, tested)
 
 
@@ -317,7 +298,7 @@ def member_two_element(
         raise PreconditionError(
             f"x must be a p-element for an odd prime, but o(x) = {o}"
         )
-    w, tested = _check(g, x, 2, pair_cap, cap, 0)
+    w, tested = _scan(g, x, 2, True, pair_cap, cap)
     return MembershipVerdict(x, METHOD_TWO_ELEMENT, w is None, w, tested)
 
 
@@ -333,7 +314,7 @@ def member_combined(
     _require_member(g, x)
     tested = 0
     for p, comp in primary_decomposition(x).components:
-        w, tested = _check(g, comp, "odd" if p == 2 else 2, pair_cap, cap, tested)
+        w, tested = _scan(g, comp, "odd" if p == 2 else 2, True, pair_cap, cap, tested)
         if w is not None:
             return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
     return MembershipVerdict(x, METHOD_COMBINED, True, None, tested)
@@ -365,11 +346,7 @@ def find_witness(
         raise PreconditionError("witness domain degree differs from the group's")
     if constraint not in _CONSTRAINT_KINDS:
         raise PreconditionError(f"unknown witness constraint {constraint!r}")
-    out = _scan(dom, x.t, _CONSTRAINT_KINDS[constraint], False, cap, pair_cap)
-    if out is None:
-        raise CapExceededError(f"pair cap {pair_cap} exhausted before the search finished")
-    hit = out[1]
-    return None if hit is None else _witness(x, g.degree, hit)
+    return _scan(dom, x, _CONSTRAINT_KINDS[constraint], False, pair_cap, cap)[0]
 
 
 def witness_is_valid(

@@ -222,9 +222,6 @@ class PermutationGroup:
         """1-based base points of the chain."""
         return tuple(lvl.base + 1 for lvl in self._levels)
 
-    def is_trivial(self) -> bool:
-        return not self._levels
-
     def contains_table(self, t) -> bool:
         res, _ = self._sift(t)
         return res == self._ident

@@ -18,8 +18,6 @@ from .errors import CycleParseError, DegreeMismatchError
 BYTE_DEGREE_LIMIT = 256
 IDENT256 = bytes(range(256))
 
-Table = "bytes | tuple[int, ...]"  # raw images table, 0-based
-
 
 def ident_table(n: int):
     """Identity table for degree n."""

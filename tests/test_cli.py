@@ -168,6 +168,7 @@ def test_member_negative_prints_witness(capsys):
     code, out, _ = run(["member", "A5", "(1 2 3 4 5)", "--method", "b1"], capsys)
     assert code == 0
     assert "NOT in the solvable radical" in out
+    assert "pairs tested" in out
     assert "witness:" in out and "|<x,y>|" in out
 
 
@@ -185,6 +186,10 @@ def test_member_bad_cycles(capsys):
 def test_member_pair_cap_exhaustion(capsys):
     # confirming membership in a solvable group has to exhaust every pair
     code, _, err = run(["member", "S4", "(1 2)", "--method", "b1", "--pair-cap", "1"], capsys)
+    assert code == 3
+    assert "cap exceeded" in err
+    # a witness found by the probe counts its pairs against the cap too
+    code, _, err = run(["member", "S5", "(2 3)(4 5)", "--method", "b1", "--pair-cap", "1"], capsys)
     assert code == 3
     assert "cap exceeded" in err
 

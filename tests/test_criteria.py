@@ -655,11 +655,20 @@ def test_warm_scans_match_fresh_groups(corpus):
         assert warm._scan_cache
 
 
-def test_pair_cap_boundary_cold_and_warm(corpus):
+def test_pair_cap_boundary_cold_and_warm(corpus, monkeypatch):
     # one group object answers count - 1, count, count - 1, count: the first
     # call is cold, a scan the cap stopped stores nothing, and the last two
-    # find every scan of the query memoized
-    loop_witnesses = 0
+    # find every scan of the query memoized. Every pair a verdict tests
+    # counts, so one below its count is capped, member or not, and a cold
+    # call tests no pair past the cap.
+    calls = []
+    real = criteria._pair_solvable
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(criteria, "_pair_solvable", counting)
     for name in ("S4", "A5", "S3xA5", "PSL2_7"):
         g = corpus[name]
         for cls in g.class_representatives():
@@ -669,15 +678,14 @@ def test_pair_cap_boundary_cold_and_warm(corpus):
                 count = v.pairs_tested
                 warm = catalog.build_named(name)
                 for cap in (count - 1, count, count - 1, count):
+                    calls.clear()
                     cold = outcome(fn, catalog.build_named(name), x, pair_cap=cap)
+                    assert len(calls) <= max(cap, 0), (name, x.cycles(), cap)
                     assert outcome(fn, warm, x, pair_cap=cap) == cold, (name, x.cycles(), cap)
                     if cap == count:
                         assert cold == verdict_key(v)
-                    elif v.member and count:
+                    elif count:
                         assert cold == "capped", (name, x.cycles(), fn.__name__)
-                    elif cold == "capped":
-                        loop_witnesses += 1
-    assert loop_witnesses
     # a scan that tests no pair never reaches the cap, even one below zero
     c3 = corpus["C3"]
     x = c3.generators[0]
