@@ -2,8 +2,9 @@
 
 Subcommands: order, radical, member, verify. Groups are given either as a
 path to a group definition JSON file or as a catalog name (S5, PSL2_7,
-PSU3_3, ...). Reports are written to --out when given; human-readable
-summaries always go to stdout and timings never enter report files.
+PSU3_3, ...). Reports are written to --out when given; order and radical
+--method oracle write none and refuse --out. Human-readable summaries always
+go to stdout and timings never enter report files.
 
 Exit codes: 0 all checks verified, 1 counterexample found, 2 usage or parse
 error, 3 out-of-desk-scale or capped.
@@ -69,6 +70,15 @@ def _write_reports(cfg: RunConfig, reports: list) -> None:
         Path(cfg.output_path).write_text(reports_to_json(reports), encoding="utf-8")
 
 
+def _refuse_out(cfg: RunConfig, what: str) -> None:
+    """--out names a report file, and what writes no report."""
+    if cfg.output_path:
+        raise PreconditionError(
+            f"{what} writes no report; --out applies to radical --method b1, "
+            "odd-p or combined, member and verify"
+        )
+
+
 def _exit_for(reports: list) -> int:
     statuses = {r.status for r in reports}
     if STATUS_COUNTEREXAMPLE in statuses:
@@ -79,6 +89,7 @@ def _exit_for(reports: list) -> int:
 
 
 def _cmd_order(args, cfg: RunConfig) -> int:
+    _refuse_out(cfg, "order")
     g = _load_target(args.group)
     print(f"{g.name or args.group}: order {g.order}, degree {g.degree}, "
           f"base length {len(g.base)}")
@@ -92,6 +103,8 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
             "the two-element criterion applies only to x of odd prime-power order, "
             "so it cannot generate R(G) by itself; use oracle, b1, odd-p or combined"
         )
+    if method == "oracle":
+        _refuse_out(cfg, "radical --method oracle")
     g = _load_target(args.group)
     name = g.name or args.group
     t0 = time.perf_counter()
@@ -188,7 +201,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="worker processes for per-representative checks; "
                              "each report forks its own pool")
     common.add_argument("--out", default=argparse.SUPPRESS,
-                        help="write the JSON report here")
+                        help="write the JSON report here (radical with a "
+                             "criterion method, member, verify)")
 
     ap = argparse.ArgumentParser(
         prog="radlab",

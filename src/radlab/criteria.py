@@ -14,7 +14,12 @@ criteria is that far smaller y-sets already decide membership:
 Every pair <x, y> is decided by structure.solvability, the descent that
 also answers the radical oracle. A false verdict always carries a Witness: a
 concrete y with <x', y> not solvable (x' is x or the primary component that
-failed), re-checkable from its fields alone.
+failed), re-checkable from its fields alone. A scan passes solvability the
+registry of the group it scans, PermutationGroup._nonsolvable, so a pair
+subgroup or derived term equal to a nonsolvable group an earlier pair
+descended stops there with that group's exact steps. Only _scan passes it:
+witness_is_valid descends every pair afresh, so a re-check never reads what
+a scan stored.
 
 All loops are deterministic. Exhaustive phases skip y when an earlier tested
 y' already covers it: once H = <x, y'> is found solvable, every element of H
@@ -103,12 +108,14 @@ class MembershipVerdict:
     pairs_tested: int
 
 
-def _pair_solvable(degree: int, a, b) -> tuple[bool, int, int, PermutationGroup]:
+def _pair_solvable(
+    degree: int, a, b, known: dict | None = None
+) -> tuple[bool, int, int, PermutationGroup]:
     """(solvable, subgroup_order, derived_steps, pair_subgroup) for <a, b>,
-    decided by structure.solvability: derived_steps is exact when not
-    solvable."""
+    decided by structure.solvability with the registry known: derived_steps
+    is exact when not solvable."""
     pg = PermutationGroup(degree, [Perm(degree, a), Perm(degree, b)])
-    solvable, steps = solvability(pg)
+    solvable, steps = solvability(pg, known)
     return solvable, pg.order, steps, pg
 
 
@@ -238,7 +245,7 @@ def _scan(
             pairs += 1
             if pairs > budget:
                 break
-            solvable, order, steps, h = _pair_solvable(n, checked, yt)
+            solvable, order, steps, h = _pair_solvable(n, checked, yt, g._nonsolvable)
             if not solvable:
                 w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
                 break

@@ -104,6 +104,10 @@ class PermutationGroup:
         self._class_cache: dict[int | None, list] = {}
         # outcomes of the p-element scans in criteria.py, keyed there
         self._scan_cache: dict = {}
+        # order -> (generator tables, steps) of nonsolvable pair subgroups
+        # and derived terms the scans descended (structure.solvability); a
+        # fact about that subgroup alone, so kept when the group grows
+        self._nonsolvable: dict = {}
         # [(g, g^-1)] for a generating pair; see generating_pair()
         self._pair: list | None = None
         for t in tables:

@@ -3,7 +3,10 @@ p-elements, primary decomposition, and 2-part/2'-part splitting.
 
 Every solvability answer comes from one lazy descent, _descent: the honest
 derived_series consumes all of it, and solvability stops it at the first
-sufficient exit, so no derived subgroup is computed past a verdict."""
+sufficient exit, so no derived subgroup is computed past a verdict. A caller
+may hand solvability a registry of nonsolvable groups already descended; a
+term equal to one of them ends the descent with its known steps, so the same
+derived series is not built twice. solvable_radical keeps no registry."""
 
 from __future__ import annotations
 
@@ -70,27 +73,43 @@ def derived_series(g: PermutationGroup) -> DerivedSeries:
     return DerivedSeries(terms, terms[-1].order == 1)
 
 
-def solvability(g: PermutationGroup) -> tuple[bool, int]:
+def solvability(g: PermutationGroup, known: dict | None = None) -> tuple[bool, int]:
     """(solvable, steps), steps the strict descents taken before the exit.
 
     Solvable exits may use sufficient conditions (at most one generator, a
     term whose order has at most two distinct prime divisors, by Burnside's
     p^a q^b theorem); a nonsolvable exit always comes from an honestly
-    stabilized descent, so its steps are exact: two fewer than the terms of
-    derived_series(g).
+    stabilized descent, here or when a registered group was descended, so
+    its steps are exact: two fewer than the terms of derived_series(g).
+
+    known, when given, maps an order to (generator tables, steps) of one
+    nonsolvable group K already descended. A term T with |T| = |K| that
+    contains every generator of K is K, so the descent stops there with the
+    steps taken so far plus K's. A nonsolvable exit registers each of its
+    terms whose order has no entry yet, term i with the total steps less i;
+    an entry states a fact about K alone.
     """
     if len(g.gens) <= 1:
         return True, 0
     steps = -1
     prev = 0
+    terms = []
     for h in _descent(g):
         o = h.order
         if o == prev:
             break
         steps += 1
+        entry = known.get(o) if known is not None else None
+        if entry is not None and all(map(h.contains_table, entry[0])):
+            steps += entry[1]
+            break
         if o == 1 or len(factorize(o)) <= 2:
             return True, steps
+        terms.append(h)
         prev = o
+    if known is not None:
+        for i, h in enumerate(terms):
+            known.setdefault(h.order, (tuple(h.gens), steps - i))
     return False, steps
 
 

@@ -149,6 +149,35 @@ def test_radical_refuses_two_element(capsys):
     assert len(err.strip().splitlines()) == 1 and "odd prime-power" in err
 
 
+def test_out_refused_where_no_report_is_written(tmp_path, capsys, monkeypatch):
+    # order and radical --method oracle write no report, so --out is refused
+    # with exit 2 before the group is even loaded
+    def no_work(target):
+        raise AssertionError(f"{target} was loaded")
+
+    monkeypatch.setattr(cli, "_load_target", no_work)
+    f = tmp_path / "r.json"
+    for argv in (
+        ["order", "S4", "--out", str(f)],
+        ["radical", "S4", "--out", str(f)],
+        ["radical", "S4", "--method", "oracle", "--out", str(f)],
+        ["--out", str(f), "order", "S4"],
+    ):
+        code, out, err = run(argv, capsys)
+        assert code == 2 and not out, argv
+        assert len(err.strip().splitlines()) == 1 and "--out" in err, argv
+        assert not f.exists(), argv
+
+
+def test_out_refused_process_exit(tmp_path):
+    f = tmp_path / "r.json"
+    for cmd in ("order", "radical"):
+        r = subprocess.run([sys.executable, "-m", "radlab", cmd, "S4", "--out", str(f)],
+                           capture_output=True, text=True)
+        assert r.returncode == 2 and not r.stdout and "Traceback" not in r.stderr, cmd
+        assert not f.exists(), cmd
+
+
 def test_method_spellings_are_the_library_strings(capsys):
     # one spelling per method: the former aliases are unrecognized choices
     for alias in ("oddp", "two"):

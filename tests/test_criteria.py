@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from radlab import catalog, criteria
+from radlab import catalog, criteria, structure
 from radlab.arith import factorize
 from radlab.criteria import (
     CONSTRAINT_ANY,
@@ -782,3 +782,93 @@ def test_enumeration_cap_refused_alike_on_warm_and_fresh_groups():
         with pytest.raises(CapExceededError):
             fn(warm, x, cap=10)
         assert fn(warm, x, cap=24) == fn(catalog.symmetric(4), x, cap=24)
+
+
+# -- the registry of nonsolvable groups a scan has descended -------------------
+
+
+def registry_groups():
+    """Fresh groups, so every registry starts empty."""
+    gs = {name: catalog.build_named(name) for name in ("S5", "S7", "A5xA5", "A5wr2", "PSL2_7")}
+    s4, psl = catalog.build_named("S4"), catalog.build_named("PSL2_7")
+    gs["S4xPSL2_7"] = catalog.direct_product(s4, psl)
+    return gs
+
+
+@pytest.fixture
+def derived_calls(monkeypatch):
+    """Orders of the groups whose derived subgroup is built, in call order."""
+    calls = []
+    real = structure.derived_subgroup
+
+    def counting(h):
+        calls.append(h.order)
+        return real(h)
+
+    monkeypatch.setattr(structure, "derived_subgroup", counting)
+    return calls
+
+
+def test_registry_verdicts_and_steps_are_exact(monkeypatch, derived_calls):
+    # every pair the b1, odd-p and combined scans test, decided with the
+    # scanned group's registry, against a registry-free descent; the scans
+    # must also have built fewer derived subgroups than that descent does
+    tested, derived = [], derived_calls
+    real_pair = criteria._pair_solvable
+
+    def recording(n, a, b, known=None):
+        out = real_pair(n, a, b, known)
+        tested.append((n, a, b, out[:3]))
+        return out
+
+    monkeypatch.setattr(criteria, "_pair_solvable", recording)
+    for name, g in registry_groups().items():
+        for cls in g.class_representatives():
+            for fn in ALL_METHODS:
+                fn(g, cls.representative)
+        assert g._nonsolvable, name
+    scanned, fresh = len(derived), 0
+    nonsolvable = 0
+    for n, a, b, (solvable, order, steps) in tested:
+        pg = PermutationGroup(n, [Perm(n, a), Perm(n, b)])
+        assert pg.order == order
+        before = len(derived)
+        assert solvability(pg) == (solvable, steps)
+        fresh += len(derived) - before
+        if not solvable:
+            nonsolvable += 1
+            assert steps == len(derived_series(pg).terms) - 2
+    assert nonsolvable > 0
+    assert scanned < fresh
+
+
+def test_registry_spares_a_second_descent_of_the_same_group(derived_calls):
+    # the second scan's nonsolvable pair is S5 itself, which the first scan
+    # descended (S5 > A5 = A5'), and S5 has no solvable subgroup whose order
+    # has three prime divisors, so that scan builds no derived subgroup
+    calls = derived_calls
+    s5 = catalog.build_named("S5")
+    first = member_b1(s5, Perm.from_cycles("(4 5)", 5))
+    assert first.witness.subgroup_order == 120 and calls
+    calls.clear()
+    second = member_b1(s5, Perm.from_cycles("(2 3 4 5)", 5))
+    w = second.witness
+    assert (w.subgroup_order, w.derived_steps) == (120, 1)
+    assert calls == []
+    assert witness_is_valid(w, ambient=s5)
+
+
+def test_witness_check_never_reads_the_registry():
+    # a registry entry with false steps for S5 itself: the scan trusts it, so
+    # its witness carries the false steps, and the re-check, which descends
+    # afresh, rejects that witness
+    x = Perm.from_cycles("(2 3 4 5)", 5)
+    honest = member_b1(catalog.build_named("S5"), x).witness
+    assert honest.subgroup_order == 120 and witness_is_valid(honest)
+    seeded = catalog.build_named("S5")
+    seeded._nonsolvable[120] = (tuple(seeded.gens), honest.derived_steps + 3)
+    w = member_b1(seeded, x).witness
+    assert (w.y, w.subgroup_order) == (honest.y, 120)
+    assert w.derived_steps == honest.derived_steps + 3
+    assert not witness_is_valid(w)
+    assert not witness_is_valid(w, ambient=seeded)
