@@ -3,8 +3,10 @@
 Subcommands: order, radical, member, verify. Groups are given either as a
 path to a group definition JSON file or as a catalog name (S5, PSL2_7,
 PSU3_3, ...). Reports are written to --out when given; order and radical
---method oracle write none and refuse --out. Human-readable summaries always
-go to stdout and timings never enter report files.
+--method oracle write none and refuse --out. An operand that a subcommand
+would not read is a usage error rather than ignored: a name after verify
+corpus, --list outside verify cvl. Human-readable summaries always go to
+stdout and timings never enter report files.
 
 Exit codes: 0 all checks verified, 1 counterexample found, 2 usage or parse
 error, 3 out-of-desk-scale or capped.
@@ -50,7 +52,6 @@ EXIT_SCALE = 3
 class RunConfig:
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     pair_cap: int = DEFAULT_PAIR_CAP
-    workers: int = 1
     output_path: str | None = None
 
 
@@ -112,9 +113,7 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
     if method == "oracle":
         rad = solvable_radical(g, cap=cfg.enumeration_cap)
     else:
-        rad, report = radical_by_method(
-            g, method, name, cfg.enumeration_cap, cfg.pair_cap, cfg.workers
-        )
+        rad, report = radical_by_method(g, method, name, cfg.enumeration_cap, cfg.pair_cap)
     elapsed = int((time.perf_counter() - t0) * 1000)
     gens = ", ".join(format_cycles(p.t, g.degree) for p in rad.generators) or "()"
     print(f"{name}: radical order {rad.order} ({elapsed} ms)")
@@ -150,7 +149,11 @@ def _cmd_member(args, cfg: RunConfig) -> int:
 
 
 def _cmd_verify(args, cfg: RunConfig) -> int:
-    kw = dict(cap=cfg.enumeration_cap, pair_cap=cfg.pair_cap, workers=cfg.workers)
+    if args.list and args.target != "cvl":
+        raise PreconditionError(f"--list applies to verify cvl, not verify {args.target}")
+    if args.name and args.target == "corpus":
+        raise PreconditionError(f"verify corpus takes no group name, got {args.name!r}")
+    kw = dict(cap=cfg.enumeration_cap, pair_cap=cfg.pair_cap)
     if args.target == "corpus":
         reports = verify_corpus(**kw)
     elif args.target == "equivalence":
@@ -165,8 +168,8 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             return EXIT_USAGE
         reports = []
         if args.name in ("all", "runnable"):
-            for ln, lst in sorted(catalog.CVL_LISTS.items()):
-                for e in lst.entries:
+            for ln in [args.list] if args.list else sorted(catalog.CVL_LISTS):
+                for e in catalog.CVL_LISTS[ln].entries:
                     if args.name == "runnable" and not e.fits(cfg.enumeration_cap):
                         continue
                     reports.append(verify_cvl(e.socle, ln, **kw))
@@ -197,9 +200,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--pair-cap", type=int, default=argparse.SUPPRESS,
                         help="solvability tests allowed per criterion call "
                              f"(default {DEFAULT_PAIR_CAP})")
-    common.add_argument("--workers", type=int, default=argparse.SUPPRESS,
-                        help="worker processes for per-representative checks; "
-                             "each report forks its own pool")
     common.add_argument("--out", default=argparse.SUPPRESS,
                         help="write the JSON report here (radical with a "
                              "criterion method, member, verify)")
@@ -249,7 +249,6 @@ def main(argv=None) -> int:
     cfg = RunConfig(
         enumeration_cap=getattr(args, "cap", DEFAULT_ENUMERATION_CAP),
         pair_cap=getattr(args, "pair_cap", DEFAULT_PAIR_CAP),
-        workers=getattr(args, "workers", 1),
         output_path=getattr(args, "out", None),
     )
     handler = {

@@ -5,18 +5,18 @@ criteria agree with an independently computed solvable radical on every
 conjugacy class representative; verify_cvl checks, for a named almost-simple
 group, that every class representative of the stated order in Aut(G0) has a
 restricted witness inside the socle. radical_by_method runs one criterion
-over the same per-class loop and closes the members it finds into R(G).
+on every class representative and closes the members it finds into R(G).
+Each is one loop over the class representatives, in this process.
 
 Reports serialize to a canonical JSON form (sorted keys, fixed indentation,
-checks ordered by element order then cycle text) so that repeated runs and
-different worker counts produce byte-identical files. Wall-clock time is
-kept on the in-memory report for console display but never serialized.
+checks ordered by element order then cycle text) so that repeated runs
+produce byte-identical files. Wall-clock time is kept on the in-memory
+report for console display but never serialized.
 """
 
 from __future__ import annotations
 
 import json
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -38,7 +38,7 @@ from .criteria import (
     member_two_element,
 )
 from .errors import CapExceededError
-from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
+from .group import DEFAULT_ENUMERATION_CAP, ConjugacyClass, PermutationGroup
 from .perm import Perm, format_cycles, table_order
 from .structure import solvable_radical
 
@@ -105,42 +105,9 @@ def _sorted_checks(checks: list) -> list:
     return sorted(checks, key=lambda c: (c.x_order, c.x_text))
 
 
-# Worker state is installed before forking so task functions only need the
-# class representative; pool.map preserves input order, which keeps reports
-# independent of the worker count. The harnesses clear it before returning.
-_WORK: dict = {}
-
-
-def _pmap(fn, items: list, workers: int) -> list:
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(min(workers, len(items))) as pool:
-        return pool.map(fn, items)
-
-
-def _class_checks(g: PermutationGroup, task, cap: int, workers: int,
-                  order_filter: int | None = None, **work) -> tuple[list, list]:
-    """task over the class representatives of g (of order order_filter):
-    ([(representative, class size)], [CheckResult]), both in class order.
-    The worker state holds g, cap and work for the duration of the call."""
-    items = [
-        (cls.representative, cls.size)
-        for cls in g.class_representatives(order_filter=order_filter, cap=cap)
-    ]
-    _WORK.update(group=g, cap=cap, **work)
-    try:
-        return items, _pmap(task, items, workers)
-    finally:
-        _WORK.clear()
-
-
-def _equivalence_task(item) -> CheckResult:
-    x, size = item
-    g: PermutationGroup = _WORK["group"]
-    radical: PermutationGroup = _WORK["radical"]
-    pair_cap: int = _WORK["pair_cap"]
-    cap: int = _WORK["cap"]
+def _equivalence_check(g: PermutationGroup, radical: PermutationGroup,
+                       cls: ConjugacyClass, pair_cap: int, cap: int) -> CheckResult:
+    x = cls.representative
     oracle = radical.contains(x)
     verdicts: list[MembershipVerdict] = [
         member_b1(g, x, pair_cap, cap),
@@ -157,7 +124,7 @@ def _equivalence_task(item) -> CheckResult:
             if v.witness is not None:
                 witness = v.witness
                 break
-    return CheckResult(format_cycles(x.t, g.degree), xo, size, oracle, witness, agreed)
+    return CheckResult(format_cycles(x.t, g.degree), xo, cls.size, oracle, witness, agreed)
 
 
 def verify_equivalence(
@@ -167,35 +134,26 @@ def verify_equivalence(
     pair_cap: int = DEFAULT_PAIR_CAP,
     workers: int = 1,
 ) -> VerificationReport:
-    """All criteria versus the derived-series radical oracle, per class."""
+    """All criteria versus the derived-series radical oracle, per class.
+
+    workers is accepted and ignored; every check runs in this process. The
+    keyword stays only because perfbench/workloads.py passes workers=1 by
+    name, and it goes with the next change to the benchmark."""
     label = name or g.name or "group"
     report = VerificationReport(label, "method", "equivalence", STATUS_VERIFIED)
     t0 = time.perf_counter()
     try:
         radical = solvable_radical(g, cap=cap)
-        _items, checks = _class_checks(
-            g, _equivalence_task, cap, workers, radical=radical, pair_cap=pair_cap
-        )
-        report.checks = _sorted_checks(checks)
+        report.checks = _sorted_checks([
+            _equivalence_check(g, radical, cls, pair_cap, cap)
+            for cls in g.class_representatives(cap=cap)
+        ])
         if not all(c.agreed for c in report.checks):
             report.status = STATUS_COUNTEREXAMPLE
     except CapExceededError:
         report.status = STATUS_CAPPED
     report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
     return report
-
-
-def _cvl_task(item) -> CheckResult:
-    x, size = item
-    g: PermutationGroup = _WORK["group"]
-    socle: PermutationGroup = _WORK["socle"]
-    constraint: str = _WORK["constraint"]
-    pair_cap: int = _WORK["pair_cap"]
-    cap: int = _WORK["cap"]
-    w = find_witness(g, x, constraint, pair_cap, cap, domain=socle)
-    # the radical of any of these automorphism groups is trivial, so a
-    # missing witness would falsify the restricted criterion for this list
-    return CheckResult(format_cycles(x.t, g.degree), x.order(), size, w is None, w, w is not None)
 
 
 def verify_cvl(
@@ -206,7 +164,9 @@ def verify_cvl(
     workers: int = 1,
 ) -> VerificationReport:
     """Restricted-witness check for one list member, or an honest
-    out-of-desk-scale report when its automorphism group exceeds the cap."""
+    out-of-desk-scale report when its automorphism group exceeds the cap.
+
+    workers is accepted and ignored, as in verify_equivalence."""
     entry = catalog.cvl_entry(list_name, socle_name)
     lst = catalog.CVL_LISTS[list_name]
     report = VerificationReport(socle_name, "cvl", list_name, STATUS_VERIFIED)
@@ -216,11 +176,16 @@ def verify_cvl(
         report.elapsed_ms = int((time.perf_counter() - t0) * 1000)
         return report
     real = catalog.cvl_realization(socle_name)
+    g = real.group
     try:
-        _items, checks = _class_checks(
-            real.group, _cvl_task, cap, workers, order_filter=lst.x_order,
-            socle=real.socle, constraint=lst.witness_kind, pair_cap=pair_cap,
-        )
+        checks = []
+        for cls in g.class_representatives(lst.x_order, cap):
+            x = cls.representative
+            w = find_witness(g, x, lst.witness_kind, pair_cap, cap, domain=real.socle)
+            # the radical of any of these automorphism groups is trivial, so a
+            # missing witness would falsify the restricted criterion for this list
+            checks.append(CheckResult(format_cycles(x.t, g.degree), x.order(), cls.size,
+                                      w is None, w, w is not None))
         report.checks = _sorted_checks(checks)
         if not all(c.agreed for c in report.checks):
             report.status = STATUS_COUNTEREXAMPLE
@@ -230,26 +195,25 @@ def verify_cvl(
     return report
 
 
-def _method_task(item) -> CheckResult:
-    x, size = item
-    g: PermutationGroup = _WORK["group"]
-    v = MEMBER_FNS[_WORK["method"]](g, x, _WORK["pair_cap"], _WORK["cap"])
-    return CheckResult(format_cycles(x.t, g.degree), x.order(), size, v.member, v.witness, True)
-
-
 def radical_by_method(
     g: PermutationGroup,
     method: str,
     name: str | None = None,
     cap: int = DEFAULT_ENUMERATION_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
-    workers: int = 1,
 ) -> tuple[PermutationGroup, VerificationReport]:
     """R(G) as the normal closure of the class representatives that one
     membership criterion places in it, with the per-class report. A cap that
     fires raises CapExceededError."""
-    items, checks = _class_checks(g, _method_task, cap, workers, method=method, pair_cap=pair_cap)
-    members = [x for (x, _size), c in zip(items, checks) if c.member]
+    member = MEMBER_FNS[method]
+    checks, members = [], []
+    for cls in g.class_representatives(cap=cap):
+        x = cls.representative
+        v = member(g, x, pair_cap, cap)
+        checks.append(CheckResult(format_cycles(x.t, g.degree), x.order(), cls.size,
+                                  v.member, v.witness, True))
+        if v.member:
+            members.append(x)
     radical = g.normal_closure(members) if members else g.subgroup([])
     report = VerificationReport(name or g.name or "group", "method", method, STATUS_VERIFIED)
     report.checks = _sorted_checks(checks)
@@ -259,13 +223,12 @@ def radical_by_method(
 def verify_corpus(
     cap: int = DEFAULT_ENUMERATION_CAP,
     pair_cap: int = DEFAULT_PAIR_CAP,
-    workers: int = 1,
 ) -> list:
     """verify_equivalence over every corpus group, in catalog order."""
     out = []
     for name in catalog.CORPUS:
         g = catalog.build_named(name)
-        out.append(verify_equivalence(g, name, cap, pair_cap, workers))
+        out.append(verify_equivalence(g, name, cap, pair_cap))
     return out
 
 

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 from radlab import cli
-from radlab.catalog import CORPUS, data_dir, symmetric, save_group_file
+from radlab.catalog import CORPUS, CVL_LISTS, data_dir, symmetric, save_group_file
 from radlab.structure import solvable_radical
 from radlab.verify import STATUS_COUNTEREXAMPLE, STATUS_VERIFIED, VerificationReport
 
@@ -274,15 +274,45 @@ def test_flag_position_is_free(tmp_path, capsys):
     assert f1.read_bytes() == f2.read_bytes()
 
 
-def test_report_bytes_stable_across_workers(tmp_path, capsys):
-    files = []
-    for i, extra in enumerate(([], ["--workers", "4"])):
-        f = tmp_path / f"w{i}.json"
-        code, _, _ = run(["verify", "equivalence", "PSL2_7", "--out", str(f)] + extra, capsys)
-        assert code == 0
-        files.append(f.read_bytes())
-    assert files[0] == files[1]
-    assert files[0].endswith(b"\n")
+def test_workers_flag_is_a_usage_error(tmp_path, capsys):
+    f = tmp_path / "w.json"
+    code, out, _ = run(["verify", "equivalence", "PSL2_7", "--workers", "4", "--out", str(f)],
+                       capsys)
+    assert code == 2 and not out
+    assert not f.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "corpus", "S5"],
+    ["verify", "corpus", "--list", "CVL1"],
+    ["verify", "equivalence", "PSL2_7", "--list", "CVL1"],
+])
+def test_verify_operand_it_would_not_read_is_refused(argv, tmp_path, capsys, monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started")
+
+    for fn in ("_load_target", "verify_corpus", "verify_equivalence"):
+        monkeypatch.setattr(cli, fn, no_work)
+    f = tmp_path / "r.json"
+    code, out, err = run(argv + ["--out", str(f)], capsys)
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:")
+    assert not f.exists()
+
+
+@pytest.mark.parametrize("which", ["runnable", "all"])
+def test_verify_cvl_runnable_and_all_honour_list(which, capsys, monkeypatch):
+    ran = []
+
+    def record(socle, list_name, **kwargs):
+        ran.append((list_name, socle))
+        return VerificationReport(socle, "cvl", list_name, STATUS_VERIFIED)
+
+    monkeypatch.setattr(cli, "verify_cvl", record)
+    code, _, _ = run(["verify", "cvl", which, "--list", "CVL1", "--cap", "260000"], capsys)
+    assert code == 0
+    assert ran == [("CVL1", e.socle) for e in CVL_LISTS["CVL1"].entries
+                   if which == "all" or e.fits(260_000)]
 
 
 def test_exit_code_mapping():
