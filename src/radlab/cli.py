@@ -158,14 +158,12 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         reports = verify_corpus(**kw)
     elif args.target == "equivalence":
         if not args.name:
-            print("verify equivalence needs a group file or name", file=sys.stderr)
-            return EXIT_USAGE
+            raise PreconditionError("verify equivalence needs a group file or name")
         g = _load_target(args.name)
         reports = [verify_equivalence(g, g.name or args.name, **kw)]
-    elif args.target == "cvl":
+    else:  # cvl: argparse allows only the three targets
         if not args.name:
-            print("verify cvl needs a group name, 'runnable', or 'all'", file=sys.stderr)
-            return EXIT_USAGE
+            raise PreconditionError("verify cvl needs a group name, 'runnable', or 'all'")
         reports = []
         if args.name in ("all", "runnable"):
             for ln in [args.list] if args.list else sorted(catalog.CVL_LISTS):
@@ -176,13 +174,9 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
         else:
             lists = [args.list] if args.list else catalog.cvl_lists_for(args.name)
             if not lists:
-                print(f"{args.name!r} is not on any list", file=sys.stderr)
-                return EXIT_USAGE
+                raise PreconditionError(f"{args.name!r} is not on any list")
             for ln in lists:
                 reports.append(verify_cvl(args.name, ln, **kw))
-    else:
-        print(f"unknown verify target {args.target!r}", file=sys.stderr)
-        return EXIT_USAGE
     for r in reports:
         label = f"{r.group} [{r.kind}]"
         print(f"{label}: {r.status} ({len(r.checks)} checks, {r.elapsed_ms} ms)")

@@ -17,9 +17,16 @@ concrete y with <x', y> not solvable (x' is x or the primary component that
 failed), re-checkable from its fields alone. A scan passes solvability the
 registry of the group it scans, PermutationGroup._nonsolvable, so a pair
 subgroup or derived term equal to a nonsolvable group an earlier pair
-descended stops there with that group's exact steps. Only _scan passes it:
-witness_is_valid descends every pair afresh, so a re-check never reads what
-a scan stored.
+descended stops there with that group's exact steps. Each scanned group
+also keeps PermutationGroup._pair_verdicts, which maps (checked table, y
+table) to the (solvable, order, steps) of every pair subgroup its scans
+decided. The criteria share pairs, so a pair met again is looked up, not
+rebuilt; a hit in the exhaustive phase rebuilds <checked, y> only when its
+elements are to be covered. Like the registry, the pair memo states facts
+about one subgroup each and is never cleared. A hit still counts its pair
+against the pair cap, so pairs_tested and the pair-cap error do not depend
+on it. Only _scan reads or fills either store: witness_is_valid descends
+every pair afresh, so a re-check never reads what a scan stored.
 
 All loops are deterministic. Exhaustive phases skip y when an earlier tested
 y' already covers it: once H = <x, y'> is found solvable, every element of H
@@ -176,11 +183,10 @@ def _probe_tables(g: PermutationGroup, xt, kind) -> list:
 def _coverage(h: PermutationGroup, cap: int) -> list:
     """Raw tables of every element of a solvable pair subgroup h = <x, y>.
 
-    Any y' in h has <x, y'> <= h, so it needs no test of its own. Above the
-    scan's cap h covers nothing: the skip is only an optimisation.
+    Any y' in h has <x, y'> <= h, so it needs no test of its own. _scan
+    passes only an h within its cap; a larger h covers nothing, as the skip
+    is only an optimisation.
     """
-    if h.order > cap:
-        return []
     return list(h.tables(cap))
 
 
@@ -224,7 +230,8 @@ def _scan(
     (letting them cover measured slower on non-member queries).
 
     tested pairs are already counted against pair_cap, and so is every pair
-    this scan tests. Returns the first witness or None, and the running pair
+    this scan tests, a pair whose verdict g._pair_verdicts holds included.
+    Returns the first witness or None, and the running pair
     count; raises CapExceededError when a pair would take the count past
     pair_cap.
     """
@@ -240,16 +247,24 @@ def _scan(
             g.tables(cap) if p is None else g.p_element_tables(p, cap)
             for p in _family_primes(g, kind)
         )
+        verdicts = g._pair_verdicts
         pairs, w = 0, None
         for yt in chain(probed, _untested(g, checked, ys, covered)):
             pairs += 1
             if pairs > budget:
                 break
-            solvable, order, steps, h = _pair_solvable(n, checked, yt, g._nonsolvable)
+            verdict = verdicts.get((checked, yt))
+            if verdict is None:
+                solvable, order, steps, h = _pair_solvable(n, checked, yt, g._nonsolvable)
+                verdicts[checked, yt] = solvable, order, steps
+            else:
+                (solvable, order, steps), h = verdict, None
             if not solvable:
                 w = Witness(x, Perm(n, yt), _prime_of_order(table_order(yt, n)), order, steps)
                 break
-            if pairs > len(probed):
+            if pairs > len(probed) and order <= cap:
+                if h is None:  # a memo hit: built again only for its elements
+                    h = PermutationGroup(n, [Perm(n, checked), Perm(n, yt)])
                 covered.update(_coverage(h, cap))
         out = (pairs, w)
         if pairs <= budget:

@@ -4,7 +4,14 @@ The chain is computed by a deterministic Schreier-Sims procedure: base points
 are chosen as the least moved point of each new residue, orbits are explored
 breadth-first with generators in list order, and every data structure is an
 insertion-ordered dict or list, so the chain, the element enumeration order,
-and all downstream verdicts are reproducible run to run.
+and all downstream verdicts are reproducible run to run. One insertion
+cascade (one _add_generator call) re-verifies a level each time a deeper
+strong generator lands, and it sifts no Schreier generator that an earlier
+pass of the same cascade proved to lie in the next level's group. That
+group only grows within the cascade, and the levels below a level being
+verified are complete, so such a sift would return the identity and insert
+nothing: the chain is the one that sifting everything builds. A rebuilt
+orbit keeps the transversal pair (u, u^-1) of a point whose u is unchanged.
 
 A conjugacy class is represented by its first member in enumeration order.
 Classes of elements of a prime order p are found without enumerating the
@@ -63,7 +70,7 @@ PAIR_DRAWS = 16
 
 
 class _Level:
-    __slots__ = ("base", "gens", "gen_invs", "orbit")
+    __slots__ = ("base", "gens", "gen_invs", "orbit", "proven")
 
     def __init__(self, base: int):
         self.base = base
@@ -71,6 +78,9 @@ class _Level:
         self.gen_invs: list = []
         # point -> (u, u_inverse) with u mapping base to point; insertion = BFS order
         self.orbit: dict = {}
+        # Schreier generators known to lie in the next level's group; a set
+        # only while an _add_generator cascade runs (see _verify_level)
+        self.proven: set | None = None
 
 
 class PermutationGroup:
@@ -108,6 +118,10 @@ class PermutationGroup:
         # and derived terms the scans descended (structure.solvability); a
         # fact about that subgroup alone, so kept when the group grows
         self._nonsolvable: dict = {}
+        # (checked table, y table) -> (solvable, order, steps) of every pair
+        # subgroup the scans tested; a fact about <checked, y> alone, so kept
+        # when the group grows
+        self._pair_verdicts: dict = {}
         # [(g, g^-1)] for a generating pair; see generating_pair()
         self._pair: list | None = None
         for t in tables:
@@ -137,6 +151,8 @@ class PermutationGroup:
         if res == self._ident:
             return False
         self._insert_strong(0, i, res)
+        for lvl in self._levels:
+            lvl.proven = None
         self._order = None
         self._pelement_cache.clear()
         self._class_cache.clear()
@@ -175,9 +191,20 @@ class PermutationGroup:
             self._verify_level(m)
 
     def _verify_level(self, i: int) -> None:
-        """Rebuild level i's orbit and make all its Schreier generators sift."""
+        """Rebuild level i's orbit and make all its Schreier generators sift.
+
+        A Schreier generator in lvl.proven is skipped: an earlier pass of
+        the same cascade sifted it, or inserted its residue, so it lies in
+        the group H of level i + 1. H only grows within the cascade, and the
+        levels below i are complete for H whenever level i is verified (the
+        cascade verifies deepest-first), so its sift would return the
+        identity and insert nothing.
+        """
         lvl = self._levels[i]
         self._rebuild_orbit(lvl)
+        if lvl.proven is None:
+            lvl.proven = set()
+        proven = lvl.proven
         orbit = lvl.orbit
         compose = self._mul
         ident = self._ident
@@ -187,14 +214,21 @@ class PermutationGroup:
                 uq, uqinv = orbit[s[p]]
                 if us == uq:  # the Schreier generator us * uq^-1 is the identity
                     continue
-                res, j = self._sift(compose(us, uqinv), i + 1)
+                schreier = compose(us, uqinv)
+                if schreier in proven:
+                    continue
+                proven.add(schreier)
+                res, j = self._sift(schreier, i + 1)
                 if res != ident:
                     self._insert_strong(i + 1, j, res)
 
     def _rebuild_orbit(self, lvl: _Level) -> None:
+        """Breadth-first orbit of lvl.base; a point whose u is unchanged
+        keeps its old (u, u^-1) pair rather than inverting u again."""
         ident = self._ident
         compose = self._mul
         n = self.degree
+        old = lvl.orbit
         orbit = {lvl.base: (ident, ident)}
         queue = [lvl.base]
         qi = 0
@@ -206,7 +240,10 @@ class PermutationGroup:
                 q = s[p]
                 if q not in orbit:
                     uq = compose(u, s)
-                    orbit[q] = (uq, inv(uq, n))
+                    pair = old.get(q)
+                    if pair is None or pair[0] != uq:
+                        pair = (uq, inv(uq, n))
+                    orbit[q] = pair
                     queue.append(q)
         lvl.orbit = orbit
 

@@ -300,6 +300,18 @@ def test_verify_operand_it_would_not_read_is_refused(argv, tmp_path, capsys, mon
     assert not f.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "equivalence"], "needs a group file or name"),
+    (["verify", "cvl"], "needs a group name"),
+    (["verify", "cvl", "A7"], "'A7' is not on any list"),
+])
+def test_verify_usage_error_is_one_error_line(argv, message, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    assert len(err.strip().splitlines()) == 1 and err.startswith("error:"), err
+    assert message in err
+
+
 @pytest.mark.parametrize("which", ["runnable", "all"])
 def test_verify_cvl_runnable_and_all_honour_list(which, capsys, monkeypatch):
     ran = []

@@ -609,6 +609,7 @@ class NoMemo(dict):
 def memo_free(g):
     h = PermutationGroup(g.degree, g.generators)
     h._scan_cache = NoMemo()
+    h._pair_verdicts = NoMemo()
     return h
 
 
@@ -723,14 +724,56 @@ def test_repeated_queries_on_a_warm_group_test_no_pair(monkeypatch):
         for cls in g.class_representatives():
             x = cls.representative
             for fn in member_methods(x) + witness_calls():
+                # find_witness reports no count, and on g the pair memo that
+                # earlier scans filled spares some pair subgroups; a group
+                # with neither memo builds one per pair it tests
                 calls.clear()
+                fn(memo_free(g), x)
+                tested = len(calls)
                 first = fn(g, x)
-                # find_witness never shares a scan with an earlier query here
-                tested = first.pairs_tested if isinstance(first, MembershipVerdict) else len(calls)
+                if isinstance(first, MembershipVerdict):
+                    assert first.pairs_tested == tested
                 for pair_cap in (DEFAULT_PAIR_CAP, tested):
                     calls.clear()
                     assert fn(g, x, pair_cap=pair_cap) == first, (name, x.cycles(), pair_cap)
                     assert not calls, (name, x.cycles(), pair_cap)
+
+
+def test_pair_memo_keeps_every_outcome_at_the_pair_cap_boundary(monkeypatch):
+    # every query, one pair below its count and then at the default pair
+    # cap, on a group with both memos and on one whose scans all run and
+    # meet the pairs earlier scans decided in the pair memo: each outcome
+    # must be that of a group with neither memo, so a memo hit counts its
+    # pair against the cap exactly as a fresh pair test does
+    calls = []
+    real = criteria._pair_solvable
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(criteria, "_pair_solvable", counting)
+    for name in ("S3xA5", "A5wr2", "PSL2_7"):
+        g = catalog.build_named(name)
+        pairs_only = catalog.build_named(name)
+        pairs_only._scan_cache = NoMemo()
+        tested = built = 0
+        for cls in g.class_representatives():
+            x = cls.representative
+            for fn in member_methods(x) + witness_calls():
+                calls.clear()
+                expect = outcome(fn, memo_free(g), x)
+                count = len(calls)
+                below = outcome(fn, memo_free(g), x, pair_cap=count - 1)
+                assert below == ("capped" if count else expect), (name, x.cycles())
+                for h in (g, pairs_only):
+                    calls.clear()
+                    assert outcome(fn, h, x, pair_cap=count - 1) == below, (name, x.cycles())
+                    assert outcome(fn, h, x) == expect, (name, x.cycles())
+                    if h is pairs_only:
+                        tested += 2 * count - 1 if count else 0
+                        built += len(calls)
+        assert g._pair_verdicts and built < tested / 2, name
 
 
 def test_adopt_invalidates_the_scan_memo():

@@ -15,7 +15,7 @@ from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionErr
 from radlab.group import SYLOW_DRAWS, PermutationGroup, group_from_cycles
 from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order
 from radlab.structure import _commutator_tables, derived_subgroup
-from radlab.verify import verify_equivalence
+from radlab.verify import verify_cvl, verify_equivalence
 
 
 def brute_closure(degree, gens, limit=50_000):
@@ -620,6 +620,40 @@ def test_identity_skip_builds_the_same_chains(monkeypatch):
     expect = chains_of_catalog_groups()
     for name, chain in expect.items():
         assert chains[name] == chain, name
+
+
+def chains_the_scans_build(monkeypatch, real):
+    """Snapshot of every chain state the three runs reach, one per
+    _add_generator call that grew a group, in call order."""
+    states = []
+
+    def recording(self, t):
+        grew = real(self, t)
+        assert all(lvl.proven is None for lvl in self._levels)
+        if grew:
+            states.append(chain_snapshot(self))
+        return grew
+
+    monkeypatch.setattr(PermutationGroup, "_add_generator", recording)
+    for name in ("S3xA5", "PSL2_7"):
+        assert verify_equivalence(catalog.build_named(name), name).status == "verified"
+    assert verify_cvl("PSL3_2", "CVL2").status == "verified"
+    return states
+
+
+def test_every_chain_the_scans_build_is_the_reference_chain(monkeypatch):
+    # every pair subgroup, derived term and closure of three harness runs,
+    # after every growth step, built with the Schreier and inverse memos and
+    # with the reference functions above; a group keeps no Schreier memo
+    # after _add_generator returns
+    add_generator = PermutationGroup._add_generator
+    states = chains_the_scans_build(monkeypatch, add_generator)
+    monkeypatch.setattr(PermutationGroup, "_verify_level", reference_verify_level)
+    monkeypatch.setattr(PermutationGroup, "_rebuild_orbit", reference_rebuild_orbit)
+    expect = chains_the_scans_build(monkeypatch, add_generator)
+    assert len(states) == len(expect) > 400
+    for i, (got, want) in enumerate(zip(states, expect)):
+        assert got == want, i
 
 
 def reference_sylow(g, p, rng, budget=SYLOW_DRAWS):
