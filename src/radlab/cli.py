@@ -5,8 +5,10 @@ path to a group definition JSON file or as a catalog name (S5, PSL2_7,
 PSU3_3, ...). Reports are written to --out when given; order and radical
 --method oracle write none and refuse --out. An operand that a subcommand
 would not read is a usage error rather than ignored: a name after verify
-corpus, --list outside verify cvl. Human-readable summaries always go to
-stdout and timings never enter report files.
+corpus, --list outside verify cvl, --cap or --pair-cap to order, --pair-cap
+to radical --method oracle. A negative --cap or --pair-cap is a usage error
+too. Human-readable summaries always go to stdout and timings never enter
+report files.
 
 Exit codes: 0 all checks verified, 1 counterexample found, 2 usage or parse
 error, 3 out-of-desk-scale or capped.
@@ -71,13 +73,23 @@ def _write_reports(cfg: RunConfig, reports: list) -> None:
         Path(cfg.output_path).write_text(reports_to_json(reports), encoding="utf-8")
 
 
-def _refuse_out(cfg: RunConfig, what: str) -> None:
-    """--out names a report file, and what writes no report."""
-    if cfg.output_path:
-        raise PreconditionError(
-            f"{what} writes no report; --out applies to radical --method b1, "
-            "odd-p or combined, member and verify"
-        )
+def _refuse(args, what: str, *dests: str) -> None:
+    """A shared flag among dests given to what, which never reads it, is a
+    usage error (the flags default to SUPPRESS, so only a given one is set)."""
+    for dest in dests:
+        if hasattr(args, dest):
+            raise PreconditionError(f"{what} reads no --{dest.replace('_', '-')}")
+
+
+def _cap_value(text: str) -> int:
+    """The value of --cap or --pair-cap: an integer, 0 or more."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be 0 or more, got {value}")
+    return value
 
 
 def _exit_for(reports: list) -> int:
@@ -90,7 +102,7 @@ def _exit_for(reports: list) -> int:
 
 
 def _cmd_order(args, cfg: RunConfig) -> int:
-    _refuse_out(cfg, "order")
+    _refuse(args, "order", "cap", "pair_cap", "out")
     g = _load_target(args.group)
     print(f"{g.name or args.group}: order {g.order}, degree {g.degree}, "
           f"base length {len(g.base)}")
@@ -105,7 +117,7 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
             "so it cannot generate R(G) by itself; use oracle, b1, odd-p or combined"
         )
     if method == "oracle":
-        _refuse_out(cfg, "radical --method oracle")
+        _refuse(args, "radical --method oracle", "pair_cap", "out")
     g = _load_target(args.group)
     name = g.name or args.group
     t0 = time.perf_counter()
@@ -188,10 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
     # shared flags use SUPPRESS so a subcommand parse never clobbers a value
     # given before the subcommand; defaults are applied in main
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--cap", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--cap", type=_cap_value, default=argparse.SUPPRESS,
                         help="largest group order that will be enumerated "
                              f"(default {DEFAULT_ENUMERATION_CAP})")
-    common.add_argument("--pair-cap", type=int, default=argparse.SUPPRESS,
+    common.add_argument("--pair-cap", type=_cap_value, default=argparse.SUPPRESS,
                         help="solvability tests allowed per criterion call "
                              f"(default {DEFAULT_PAIR_CAP})")
     common.add_argument("--out", default=argparse.SUPPRESS,

@@ -14,19 +14,7 @@ criteria is that far smaller y-sets already decide membership:
 Every pair <x, y> is decided by structure.solvability, the descent that
 also answers the radical oracle. A false verdict always carries a Witness: a
 concrete y with <x', y> not solvable (x' is x or the primary component that
-failed), re-checkable from its fields alone. A scan passes solvability the
-registry of the group it scans, PermutationGroup._nonsolvable, so a pair
-subgroup or derived term equal to a nonsolvable group an earlier pair
-descended stops there with that group's exact steps. Each scanned group
-also keeps PermutationGroup._pair_verdicts, which maps (checked table, y
-table) to the (solvable, order, steps) of every pair subgroup its scans
-decided. The criteria share pairs, so a pair met again is looked up, not
-rebuilt; a hit in the exhaustive phase rebuilds <checked, y> only when its
-elements are to be covered. Like the registry, the pair memo states facts
-about one subgroup each and is never cleared. A hit still counts its pair
-against the pair cap, so pairs_tested and the pair-cap error do not depend
-on it. Only _scan reads or fills either store: witness_is_valid descends
-every pair afresh, so a re-check never reads what a scan stored.
+failed), re-checkable from its fields alone.
 
 All loops are deterministic. Exhaustive phases skip y when an earlier tested
 y' already covers it: once H = <x, y'> is found solvable, every element of H
@@ -52,18 +40,28 @@ contract.
 
 Every pair either phase tests counts against the call's pair cap, and a
 scan raises CapExceededError as soon as the next pair would pass it; a scan
-that tests no pair never raises. Scan outcomes are memoized on the group
-whose y are scanned (the domain, for find_witness), in
-PermutationGroup._scan_cache: one entry per finished scan under (checked
-table, kind, probe, cap). The outcome depends on nothing else, because the
-cap decides which pair subgroups may be enumerated for coverage, and the
-commuting strong generators depend only on the group and the checked table.
-An entry holds the pairs the scan tested and its witness or None. A scan
-stopped by the pair cap stores nothing, and the memo is cleared with the
-p-element cache whenever the group grows. An entry is refused exactly when
-its pairs exceed what is left of the budget (taken as 0 when negative), so
-pairs_tested, the witness and the pair-cap error are those of a fresh scan
-whatever was asked before.
+that tests no pair never raises.
+
+The scans of a group (the domain, for find_witness) share one memo, which
+_scan makes on the first of them as PermutationGroup.scan_memo and the group
+drops, with everything else it derived, when it grows. It is a triple of
+dicts. scans maps (checked table, kind, probe, cap) to the pairs a finished
+scan tested and its witness or None; nothing else decides that outcome,
+because the cap decides which pair subgroups may be enumerated for coverage,
+and the commuting strong generators depend only on the group and the checked
+table. A scan stopped by the pair cap stores nothing. verdicts maps (checked
+table, y table) to the (solvable, order, steps) of every pair subgroup
+decided: the criteria share pairs, so a pair met again is looked up, not
+rebuilt, and a hit in the exhaustive phase rebuilds <checked, y> only when
+its elements are to be covered. registry, passed to solvability, holds the
+nonsolvable pair subgroups and derived terms already descended, so a descent
+meeting one of them stops with its exact steps. Every pair counts against
+the cap whether decided afresh or remembered: a scans entry is refused
+exactly when its pairs exceed what is left of the budget (taken as 0 when
+negative), so pairs_tested, the witness and the pair-cap error are those of
+a fresh scan whatever was asked before. Only _scan reads or fills the memo:
+witness_is_valid descends every pair afresh, so a re-check never reads what
+a scan stored.
 """
 
 from __future__ import annotations
@@ -230,14 +228,17 @@ def _scan(
     (letting them cover measured slower on non-member queries).
 
     tested pairs are already counted against pair_cap, and so is every pair
-    this scan tests, a pair whose verdict g._pair_verdicts holds included.
-    Returns the first witness or None, and the running pair
+    this scan tests, remembered in g's memo or not (see the module
+    docstring). Returns the first witness or None, and the running pair
     count; raises CapExceededError when a pair would take the count past
     pair_cap.
     """
+    if g.scan_memo is None:
+        g.scan_memo = ({}, {}, {})
+    scans, verdicts, registry = g.scan_memo
     budget = max(pair_cap - tested, 0)
     key = (x.t, kind, probe, cap)
-    out = g._scan_cache.get(key)
+    out = scans.get(key)
     if out is None:
         n, checked = g.degree, x.t
         probed = _probe_tables(g, checked, kind) if probe else []
@@ -247,7 +248,6 @@ def _scan(
             g.tables(cap) if p is None else g.p_element_tables(p, cap)
             for p in _family_primes(g, kind)
         )
-        verdicts = g._pair_verdicts
         pairs, w = 0, None
         for yt in chain(probed, _untested(g, checked, ys, covered)):
             pairs += 1
@@ -255,7 +255,7 @@ def _scan(
                 break
             verdict = verdicts.get((checked, yt))
             if verdict is None:
-                solvable, order, steps, h = _pair_solvable(n, checked, yt, g._nonsolvable)
+                solvable, order, steps, h = _pair_solvable(n, checked, yt, registry)
                 verdicts[checked, yt] = solvable, order, steps
             else:
                 (solvable, order, steps), h = verdict, None
@@ -268,7 +268,7 @@ def _scan(
                 covered.update(_coverage(h, cap))
         out = (pairs, w)
         if pairs <= budget:
-            g._scan_cache[key] = out
+            scans[key] = out
     pairs, w = out
     if pairs > budget:
         raise CapExceededError(f"pair cap {pair_cap} exhausted before a verdict")

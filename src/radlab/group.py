@@ -27,9 +27,9 @@ generating pair rather than by every listed generator: a group that lists
 more than two generators draws seeded random pairs and keeps the first whose
 subgroup has order |G|, which certifies that it generates G; a class is the
 same set under any generating set. When the draws run out, the listed
-generators are used. Class lists, p-element streams and the pair are cached
-on the group and dropped when it grows; the enumeration cap is checked before
-any cached answer is returned.
+generators are used. Class lists, p-element streams, the pair and the
+criteria's scan memo are cached on the group and dropped when it grows; the
+enumeration cap is checked before any cached answer is returned.
 
 Raw images tables (see perm.py) are used internally; the public surface talks
 in Perm objects.
@@ -112,16 +112,8 @@ class PermutationGroup:
         self._pelement_cache: dict[int, _FilledStream] = {}
         # order_filter -> [(rep_table, class_size)], in enumeration order
         self._class_cache: dict[int | None, list] = {}
-        # outcomes of the p-element scans in criteria.py, keyed there
-        self._scan_cache: dict = {}
-        # order -> (generator tables, steps) of nonsolvable pair subgroups
-        # and derived terms the scans descended (structure.solvability); a
-        # fact about that subgroup alone, so kept when the group grows
-        self._nonsolvable: dict = {}
-        # (checked table, y table) -> (solvable, order, steps) of every pair
-        # subgroup the scans tested; a fact about <checked, y> alone, so kept
-        # when the group grows
-        self._pair_verdicts: dict = {}
+        # what criteria.py's scans of this group stored; made and read there
+        self.scan_memo: tuple | None = None
         # [(g, g^-1)] for a generating pair; see generating_pair()
         self._pair: list | None = None
         for t in tables:
@@ -156,7 +148,7 @@ class PermutationGroup:
         self._order = None
         self._pelement_cache.clear()
         self._class_cache.clear()
-        self._scan_cache.clear()
+        self.scan_memo = None
         self._pair = None
         return True
 

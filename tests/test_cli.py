@@ -178,6 +178,40 @@ def test_out_refused_process_exit(tmp_path):
         assert not f.exists(), cmd
 
 
+@pytest.mark.parametrize("argv, message", [
+    # order reads neither cap, and the radical oracle reads no pair cap
+    (["order", "S4", "--cap", "10"], "order reads no --cap"),
+    (["order", "S4", "--pair-cap", "5"], "order reads no --pair-cap"),
+    (["--cap", "10", "order", "S4"], "order reads no --cap"),
+    (["radical", "S4", "--pair-cap", "5"], "oracle reads no --pair-cap"),
+    (["radical", "S4", "--method", "oracle", "--pair-cap", "5"], "oracle reads no --pair-cap"),
+    # a negative cap, wherever it is read
+    (["member", "S4", "(1 2 3)", "--pair-cap", "-1"], "must be 0 or more"),
+    (["member", "C3", "(1 2 3)", "--pair-cap", "-1"], "must be 0 or more"),
+    (["verify", "equivalence", "S4", "--pair-cap", "-5"], "must be 0 or more"),
+    (["verify", "equivalence", "S4", "--cap", "-1"], "must be 0 or more"),
+    (["order", "S5", "--cap", "-1"], "must be 0 or more"),
+    (["--pair-cap", "-1", "member", "S4", "(1 2)"], "must be 0 or more"),
+])
+def test_cap_flag_refused_before_any_work(argv, message, capsys, monkeypatch):
+    def no_work(target):
+        raise AssertionError(f"{target} was loaded")
+
+    monkeypatch.setattr(cli, "_load_target", no_work)
+    code, out, err = run(argv, capsys)
+    assert code == 2 and not out
+    last = err.strip().splitlines()[-1]
+    assert "error:" in last and message in last, err
+
+
+def test_cap_flags_still_read_where_they_apply(capsys):
+    # the oracle enumerates classes under --cap, and a criterion method runs
+    # under --pair-cap: S5 needs more than 3 pairs, and more than 10 elements
+    assert run(["radical", "S5", "--cap", "10"], capsys)[0] == 3
+    assert run(["radical", "S5", "--method", "b1", "--pair-cap", "3"], capsys)[0] == 3
+    assert run(["radical", "S4", "--method", "b1", "--pair-cap", "0"], capsys)[0] == 3
+
+
 def test_method_spellings_are_the_library_strings(capsys):
     # one spelling per method: the former aliases are unrecognized choices
     for alias in ("oddp", "two"):

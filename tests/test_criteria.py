@@ -22,6 +22,9 @@ from radlab.criteria import (
     CONSTRAINT_ODD_P,
     CONSTRAINT_TWO_ELEMENT,
     DEFAULT_PAIR_CAP,
+    METHOD_B1,
+    METHOD_COMBINED,
+    METHOD_ODD_P,
     MembershipVerdict,
     Witness,
     _coverage,
@@ -45,6 +48,7 @@ from radlab.structure import (
     solvable_radical,
     two_part_split,
 )
+from radlab.verify import STATUS_VERIFIED, radical_by_method, verify_equivalence
 
 ALL_METHODS = (member_b1, member_oddp, member_combined)
 
@@ -326,16 +330,21 @@ def coverage_groups(corpus):
     return {n: g for n, g in corpus.items() if g.order <= 2520}
 
 
+def constraint_primes(g, constraint):
+    """The primes of |g| whose p-elements a witness constraint admits."""
+    primes = factorize(g.order).primes
+    if constraint == CONSTRAINT_ODD_P:
+        return [p for p in primes if p != 2]
+    if constraint == CONSTRAINT_TWO_ELEMENT:
+        return [p for p in primes if p == 2]
+    return primes
+
+
 def rescan_witness(g, x, constraint):
     """First y with <x, y> not solvable, testing every p-element: primes
     ascending, then enumeration order; no skip of any kind."""
-    primes = factorize(g.order).primes
-    if constraint == CONSTRAINT_ODD_P:
-        primes = [p for p in primes if p != 2]
-    elif constraint == CONSTRAINT_TWO_ELEMENT:
-        primes = [p for p in primes if p == 2]
     n = g.degree
-    for p in primes:
+    for p in constraint_primes(g, constraint):
         for yt in g.p_element_tables(p):
             y = Perm(n, yt)
             h = PermutationGroup(n, [x, y])
@@ -600,16 +609,16 @@ def test_find_witness_coverage_above_cap_is_skipped():
 
 
 class NoMemo(dict):
-    """A scan memo that stores nothing, so every scan runs from scratch."""
+    """A memo store that keeps nothing, so every scan runs from scratch."""
 
     def __setitem__(self, key, value):
         pass
 
 
 def memo_free(g):
+    """A fresh copy of g whose scans and pair verdicts are never stored."""
     h = PermutationGroup(g.degree, g.generators)
-    h._scan_cache = NoMemo()
-    h._pair_verdicts = NoMemo()
+    h.scan_memo = (NoMemo(), NoMemo(), {})
     return h
 
 
@@ -653,7 +662,7 @@ def test_warm_scans_match_fresh_groups(corpus):
             for x in reps:
                 for i, fn in enumerate(member_methods(x) + witness_calls()):
                     assert outcome(fn, warm, x) == expected[x, i], (name, x.cycles(), i)
-        assert warm._scan_cache
+        assert warm.scan_memo[0]
 
 
 def test_pair_cap_boundary_cold_and_warm(corpus, monkeypatch):
@@ -756,7 +765,7 @@ def test_pair_memo_keeps_every_outcome_at_the_pair_cap_boundary(monkeypatch):
     for name in ("S3xA5", "A5wr2", "PSL2_7"):
         g = catalog.build_named(name)
         pairs_only = catalog.build_named(name)
-        pairs_only._scan_cache = NoMemo()
+        pairs_only.scan_memo = (NoMemo(), {}, {})
         tested = built = 0
         for cls in g.class_representatives():
             x = cls.representative
@@ -773,7 +782,7 @@ def test_pair_memo_keeps_every_outcome_at_the_pair_cap_boundary(monkeypatch):
                     if h is pairs_only:
                         tested += 2 * count - 1 if count else 0
                         built += len(calls)
-        assert g._pair_verdicts and built < tested / 2, name
+        assert g.scan_memo[1] and built < tested / 2, name
 
 
 def test_adopt_invalidates_the_scan_memo():
@@ -782,7 +791,9 @@ def test_adopt_invalidates_the_scan_memo():
     for x in (a, b):
         assert all(fn(g, x).member for fn in member_methods(x))
         assert all(fw(g, x) is None for fw in witness_calls())
+    assert g.scan_memo is not None
     assert g._adopt(c.t)
+    assert g.scan_memo is None
     a5 = memo_free(PermutationGroup(5, [a, b, c]))
     for x in (a, b):
         assert not member_combined(g, x).member
@@ -869,7 +880,7 @@ def test_registry_verdicts_and_steps_are_exact(monkeypatch, derived_calls):
         for cls in g.class_representatives():
             for fn in ALL_METHODS:
                 fn(g, cls.representative)
-        assert g._nonsolvable, name
+        assert g.scan_memo[2], name
     scanned, fresh = len(derived), 0
     nonsolvable = 0
     for n, a, b, (solvable, order, steps) in tested:
@@ -909,9 +920,88 @@ def test_witness_check_never_reads_the_registry():
     honest = member_b1(catalog.build_named("S5"), x).witness
     assert honest.subgroup_order == 120 and witness_is_valid(honest)
     seeded = catalog.build_named("S5")
-    seeded._nonsolvable[120] = (tuple(seeded.gens), honest.derived_steps + 3)
+    seeded.scan_memo = ({}, {}, {120: (tuple(seeded.gens), honest.derived_steps + 3)})
     w = member_b1(seeded, x).witness
     assert (w.y, w.subgroup_order) == (honest.y, 120)
     assert w.derived_steps == honest.derived_steps + 3
     assert not witness_is_valid(w)
     assert not witness_is_valid(w, ambient=seeded)
+
+
+# -- seeded random groups: the memos and the oracle against each other ---------
+
+# block sizes of the random groups: each generator permutes every block within
+# itself and the blocks of one size among themselves. The first block is the
+# only one of its size, so every generator fixes it setwise, and the others
+# span at most four points, where every group is solvable.
+BLOCK_SHAPES = ((5, 3), (5, 2, 2), (6, 2))
+RANDOM_SEEDS = range(12)
+
+
+def random_block_group(seed):
+    """A group generated by 2 or 3 random block-preserving permutations."""
+    rng = random.Random(seed)
+    shape = BLOCK_SHAPES[seed % len(BLOCK_SHAPES)]
+    starts = [sum(shape[:i]) for i in range(len(shape))]
+    gens = []
+    for _ in range(rng.choice((2, 3))):
+        target = list(range(len(shape)))
+        for size in set(shape):
+            same = [i for i, s in enumerate(shape) if s == size]
+            for i, j in zip(same, rng.sample(same, len(same))):
+                target[i] = j
+        images = []
+        for i, size in enumerate(shape):
+            images += [starts[target[i]] + k for k in rng.sample(range(size), size)]
+        gens.append(Perm.from_images(images))
+    return PermutationGroup(sum(shape), gens, name=f"random{seed}"), shape[0]
+
+
+def first_block_witness(g, b, x, constraint, solvable):
+    """First y, primes ascending and then in enumeration order, with <x, y>
+    not solvable, testing every y: <x, y> embeds in the product of its
+    actions on the first b points and on the rest, and the latter is
+    solvable, so <x, y> is solvable iff its action on those b <= 6 points
+    is. A subgroup of S5 or S6 is not solvable iff 60 divides its order.
+    solvable caches that verdict for x by the action of y on the block."""
+    xb = Perm.from_images(list(x.t[:b]))
+    for p in constraint_primes(g, constraint):
+        for yt in g.p_element_tables(p):
+            key = tuple(yt[:b])
+            if key not in solvable:
+                pair = PermutationGroup(b, [xb, Perm.from_images(list(key))])
+                solvable[key] = pair.order % 60 != 0
+            if not solvable[key]:
+                return Perm(g.degree, yt), p
+    return None
+
+
+@pytest.mark.parametrize("seed", RANDOM_SEEDS)
+def test_random_groups_memos_and_oracle_agree(seed):
+    # verify_equivalence warms every memo of g; each query on it must then
+    # equal the same query on a memo-free copy, each non-member's witness
+    # must be the first that a scan testing every y finds, and the radical
+    # each criterion builds must be the oracle's
+    g, b = random_block_group(seed)
+    report = verify_equivalence(g)
+    assert report.status == STATUS_VERIFIED, seed
+    for c in report.checks:
+        assert c.witness is None or witness_is_valid(c.witness, ambient=g), (seed, c.x_text)
+    radical = solvable_radical(g)
+    fresh = memo_free(g)
+    for cls in g.class_representatives():
+        x = cls.representative
+        for fn in member_methods(x) + witness_calls():
+            assert outcome(fn, g, x) == outcome(fn, fresh, x), (seed, x.cycles(), fn)
+        if radical.contains(x):
+            continue  # every pair is solvable, as verify_equivalence checked
+        solvable = {}
+        for constraint in CONSTRAINTS:
+            w = find_witness(g, x, constraint)
+            expect = first_block_witness(g, b, x, constraint, solvable)
+            assert (w and (w.y, w.prime)) == expect, (seed, x.cycles(), constraint)
+            assert w is None or witness_is_valid(w, ambient=g), (seed, x.cycles(), constraint)
+    for method in (METHOD_B1, METHOD_ODD_P, METHOD_COMBINED):
+        r = radical_by_method(g, method)[0]
+        assert r.order == radical.order, (seed, method)
+        assert all(radical.contains(p) for p in r.generators), (seed, method)
