@@ -7,7 +7,9 @@ PSU3_3, ...). Reports are written to --out when given; order and radical
 would not read is a usage error rather than ignored: a name after verify
 corpus, --list outside verify cvl, --cap or --pair-cap to order, --pair-cap
 to radical --method oracle. A negative --cap or --pair-cap is a usage error
-too. Human-readable summaries always go to stdout and timings never enter
+too. member lists the element's conjugacy class only for the report's class
+size, so it does so only with --out, and refuses --out when |G| exceeds
+--cap. Human-readable summaries always go to stdout and timings never enter
 report files.
 
 Exit codes: 0 all checks verified, 1 counterexample found, 2 usage or parse
@@ -140,9 +142,14 @@ def _cmd_member(args, cfg: RunConfig) -> int:
     g = _load_target(args.group)
     name = g.name or args.group
     x = Perm(g.degree, parse_cycles(args.element, g.degree))
+    if cfg.output_path and g.order > cfg.enumeration_cap:
+        # the report's class size lists the class of x, up to |G| elements
+        raise CapExceededError(
+            f"group order {g.order} exceeds enumeration cap {cfg.enumeration_cap}; "
+            "the --out report lists the class of x"
+        )
     method = args.method
     v = MEMBER_FNS[method](g, x, cfg.pair_cap, cfg.enumeration_cap)
-    _, size = g.conjugacy_class_tables(x.t)
     if v.member:
         print(f"{args.element} is in the solvable radical of {name} "
               f"({method}, {v.pairs_tested} pairs tested)")
@@ -153,10 +160,12 @@ def _cmd_member(args, cfg: RunConfig) -> int:
         print(f"witness: x = {format_cycles(w.x.t, g.degree)}, "
               f"y = {format_cycles(w.y.t, g.degree)}, p = {w.prime}, "
               f"|<x,y>| = {w.subgroup_order}")
-    report = VerificationReport(name, "method", method, STATUS_VERIFIED)
-    report.checks = [CheckResult(format_cycles(x.t, g.degree), x.order(), size,
-                                 v.member, v.witness, True)]
-    _write_reports(cfg, [report])
+    if cfg.output_path:
+        _, size = g.conjugacy_class_tables(x.t)
+        report = VerificationReport(name, "method", method, STATUS_VERIFIED)
+        report.checks = [CheckResult(format_cycles(x.t, g.degree), x.order(), size,
+                                     v.member, v.witness, True)]
+        _write_reports(cfg, [report])
     return EXIT_OK
 
 

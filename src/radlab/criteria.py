@@ -72,7 +72,7 @@ from itertools import chain
 from .arith import factorize, p_part
 from .errors import CapExceededError, MembershipError, PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
-from .perm import Perm, inv, is_ident, mul, pow_table, table_order
+from .perm import Perm, inv, inv_wide, is_ident, mul, pow_table, table_order
 from .structure import primary_decomposition, primary_exponent, solvability
 
 DEFAULT_PAIR_CAP = 10_000_000
@@ -197,17 +197,20 @@ def _untested(g: PermutationGroup, checked, ys, covered: set):
     subgroup. Such a y joins covered untested. The caller adds the coverage
     of every solvable pair it tests.
     """
-    compose = g._mul
+    compose, pad = g._mul, g._pad
+    # c and c^-1 as they are, to compose from, and padded (perm.wide), to
+    # compose by
     cent = [
-        (c, inv(c, g.degree))
+        (c, c + pad, inv(c, g.degree), inv_wide(c, g.degree))
         for c in g.strong_tables()
-        if compose(c, checked) == compose(checked, c)
+        if mul(c, checked) == mul(checked, c)
     ]
     for yt in ys:
         if yt in covered:
             continue
-        for c, ci in cent:
-            if compose(compose(ci, yt), c) in covered or compose(compose(c, yt), ci) in covered:
+        yw = yt + pad
+        for c, cw, ci, ciw in cent:
+            if compose(compose(ci, yw), cw) in covered or compose(compose(c, yw), ciw) in covered:
                 covered.add(yt)
                 break
         else:

@@ -32,7 +32,11 @@ criteria's scan memo are cached on the group and dropped when it grows; the
 enumeration cap is checked before any cached answer is returned.
 
 Raw images tables (see perm.py) are used internally; the public surface talks
-in Perm objects.
+in Perm objects. Every table the group hands out or keys a set on is n bytes
+for degree n <= 256; the loops keep padded copies (perm.wide) of the tables
+they compose by: the strong generators of each level, the orbit inverses,
+the odometer's transversals and the conjugators of a BFS or closure. A BFS
+or closure member and an element being powered are padded once per use.
 """
 
 from __future__ import annotations
@@ -49,11 +53,13 @@ from .perm import (
     Perm,
     ident_table,
     inv,
+    inv_wide,
     is_ident,
     min_moved,
     mul,
     pow_table,
     table_order,
+    wide,
 )
 
 DEFAULT_ENUMERATION_CAP = 200_000
@@ -70,13 +76,14 @@ PAIR_DRAWS = 16
 
 
 class _Level:
-    __slots__ = ("base", "gens", "gen_invs", "orbit", "proven")
+    __slots__ = ("base", "gens", "orbit", "proven")
 
     def __init__(self, base: int):
         self.base = base
+        # strong generators, padded (perm.wide): the chain only composes by
+        # them; strong_tables() cuts them back to n
         self.gens: list = []
-        self.gen_invs: list = []
-        # point -> (u, u_inverse) with u mapping base to point; insertion = BFS order
+        # point -> (u, u^-1 padded) with u mapping base to point; insertion = BFS order
         self.orbit: dict = {}
         # Schreier generators known to lie in the next level's group; a set
         # only while an _add_generator cascade runs (see _verify_level)
@@ -97,8 +104,12 @@ class PermutationGroup:
         self.degree = degree
         self.name = name
         self._ident = ident_table(degree)
+        # t + _pad is wide(t) (see perm.py) without the call, for the loops
+        # that pad a table per use; () for tuple tables
+        self._pad = wide(self._ident)[degree:]
         # composition bound once for the hot loops (chain build, enumeration,
         # closures): bytes.translate on byte tables skips mul's type dispatch
+        # and its pad, so the second argument must already be padded
         self._mul = bytes.translate if type(self._ident) is bytes else mul
         # input generators, identity dropped, order preserved, duplicates kept out
         tables = []
@@ -174,11 +185,9 @@ class PermutationGroup:
         """
         if j == len(self._levels):
             self._levels.append(_Level(min_moved(t, self.degree)))
-        tinv = inv(t, self.degree)
+        tw = t + self._pad
         for m in range(start, j + 1):
-            lvl = self._levels[m]
-            lvl.gens.append(t)
-            lvl.gen_invs.append(tinv)
+            self._levels[m].gens.append(tw)
         for m in range(j, start - 1, -1):
             self._verify_level(m)
 
@@ -221,7 +230,7 @@ class PermutationGroup:
         compose = self._mul
         n = self.degree
         old = lvl.orbit
-        orbit = {lvl.base: (ident, ident)}
+        orbit = {lvl.base: (ident, ident + self._pad)}
         queue = [lvl.base]
         qi = 0
         while qi < len(queue):
@@ -234,7 +243,7 @@ class PermutationGroup:
                     uq = compose(u, s)
                     pair = old.get(q)
                     if pair is None or pair[0] != uq:
-                        pair = (uq, inv(uq, n))
+                        pair = (uq, inv_wide(uq, n))
                     orbit[q] = pair
                     queue.append(q)
         lvl.orbit = orbit
@@ -275,7 +284,8 @@ class PermutationGroup:
 
     def strong_tables(self) -> list:
         """Distinct strong generator tables, in level order."""
-        return list(dict.fromkeys(t for lvl in self._levels for t in lvl.gens))
+        n = self.degree
+        return list(dict.fromkeys(t[:n] for lvl in self._levels for t in lvl.gens))
 
     def strong_generators(self) -> list[Perm]:
         return [Perm(self.degree, t) for t in self.strong_tables()]
@@ -296,7 +306,8 @@ class PermutationGroup:
         remaining levels, and each partial product is composed with the whole
         folded transversal in one comprehension. Composition is associative,
         so the elements and their order are those of a plain odometer over
-        every level.
+        every level. The odometer's transversals and partial products are
+        padded translate tables; the tail and every yielded table are not.
         """
         self._check_cap(cap)
         levels = self._levels
@@ -304,14 +315,15 @@ class PermutationGroup:
             yield self._ident
             return
         compose = self._mul
-        us = [[pair[0] for pair in lvl.orbit.values()] for lvl in levels]
-        tail = us.pop()
+        pad = self._pad
+        us = [[pair[0] + pad for pair in lvl.orbit.values()] for lvl in levels[:-1]]
+        tail = [pair[0] for pair in levels[-1].orbit.values()]
         while us and len(us[-1]) * len(tail) <= TAIL_LIMIT:
             tail = [compose(t, u) for u in us.pop() for t in tail]
         k = len(us)
         sizes = [len(u) for u in us]
         idx = [0] * k
-        partial = [self._ident] * (k + 1)
+        partial = [self._ident + pad] * (k + 1)
         i = 0
         while True:
             while i < k:
@@ -375,11 +387,13 @@ class PermutationGroup:
                     return n
                 queue.append(t)
         compose = self._mul
+        pad = self._pad
+        conjugators = [(g + pad, ginv) for g, ginv in zip(self.gens, self.gen_invs)]
         qi = 0
         while qi < len(queue):
-            y = queue[qi]
+            y = queue[qi] + pad
             qi += 1
-            for g, ginv in zip(self.gens, self.gen_invs):
+            for g, ginv in conjugators:
                 z = compose(compose(ginv, y), g)
                 if n._adopt(z):
                     if n.order == full:
@@ -418,12 +432,13 @@ class PermutationGroup:
         the BFS order of the members depends on the pair.
         """
         compose = self._mul
-        conjugators = self.generating_pair()
+        pad = self._pad
+        conjugators = [(g + pad, ginv) for g, ginv in self.generating_pair()]
         seen = {t}
         queue = [t]
         qi = 0
         while qi < len(queue):
-            y = queue[qi]
+            y = queue[qi] + pad
             qi += 1
             for g, ginv in conjugators:
                 z = compose(compose(ginv, y), g)
@@ -570,17 +585,18 @@ class PermutationGroup:
         """Predicate: t != 1 and t^pe == 1, for pe a power of the prime p;
         with pe = p it holds exactly for the elements of order p. t is
         raised to the p-th power once per factor p of pe, by p - 1
-        compositions each."""
+        compositions each, with the power padded once."""
         compose = self._mul
         ident = self._ident
+        pad = self._pad
         steps = range(p - 1)
 
         def check(t) -> bool:
             s, k = t, 1
             while k < pe:
-                r = s
+                r, sw = s, s + pad
                 for _ in steps:
-                    r = compose(r, s)
+                    r = compose(r, sw)
                 s, k = r, k * p
             return s == ident and t != ident
 

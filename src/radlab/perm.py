@@ -1,10 +1,17 @@
 """Permutations of {1..n} with fast byte-table composition.
 
 Internally a permutation on n points is an images table over 0-based points.
-Degrees up to 256 use a full 256-byte table padded with fixed points, so that
-composition is a single bytes.translate call; larger degrees fall back to
-tuples of ints. External notation (cycle strings, group files, reports, the
-point-application API) is 1-based throughout.
+Degrees up to 256 use a byte table; larger degrees fall back to tuples of
+ints. One rule holds for byte tables: a table held as a value (Perm.t, set
+and dict keys, transversal elements, enumerated elements, witnesses) is
+exactly n bytes, and only a table passed as the second argument of
+bytes.translate, which takes 256 entries, is padded with the fixed points
+n..255 (wide). Composition is one translate call, and the loops of group.py
+keep padded copies of the tables they compose by again and again. A missed
+pad raises ValueError in translate rather than giving a wrong answer; a
+padded table kept as a value would compare unequal to its n-byte self, so
+none is ever handed out. External notation (cycle strings, group files,
+reports, the point-application API) is 1-based throughout.
 
 Composition is left to right: (a * b) applies a first, then b.
 """
@@ -20,31 +27,47 @@ IDENT256 = bytes(range(256))
 
 
 def ident_table(n: int):
-    """Identity table for degree n."""
+    """Identity table for degree n: n bytes, or a tuple above degree 256."""
     if n <= BYTE_DEGREE_LIMIT:
-        return IDENT256
+        return IDENT256[:n]
     return tuple(range(n))
 
 
 def is_ident(t) -> bool:
+    """True for the identity table of t's own degree, len(t)."""
     if type(t) is bytes:
-        return t == IDENT256
+        return t == IDENT256[:len(t)]
     return all(i == x for i, x in enumerate(t))
 
 
+def wide(t):
+    """t as a bytes.translate table: a byte table padded with its fixed
+    points to 256 entries. A tuple table is returned as it is."""
+    if type(t) is bytes:
+        return t + IDENT256[len(t):]
+    return t
+
+
 def mul(a, b):
-    """Table of 'a then b': result[i] = b[a[i]]."""
+    """Table of 'a then b': result[i] = b[a[i]], of a's length; b may be
+    padded already."""
     if type(a) is bytes:
-        return a.translate(b)
+        return a.translate(b + IDENT256[len(b):])  # wide(b)
     return tuple(b[x] for x in a)
 
 
-def inv(t, n: int):
-    """Inverse table."""
+def inv_wide(t, n: int):
+    """Inverse of t as a translate table (see wide)."""
     if type(t) is bytes:
-        # a byte table is a full permutation of 0..255, so mapping its images
-        # back to their positions is exactly the inverse
-        return bytes.maketrans(t, IDENT256)
+        # maps each image back to its position and fixes n..255
+        return bytes.maketrans(t, IDENT256[:n])
+    return inv(t, n)
+
+
+def inv(t, n: int):
+    """Inverse table, n entries like t."""
+    if type(t) is bytes:
+        return bytes.maketrans(t, IDENT256[:n])[:n]
     r = [0] * n
     for i in range(n):
         r[t[i]] = i
@@ -52,8 +75,8 @@ def inv(t, n: int):
 
 
 def pow_table(t, e: int, n: int):
-    """Table of t**e for e >= 0, by binary powering."""
-    acc = ident_table(n)
+    """Table of t**e for e >= 0, by binary powering; a table of t's kind."""
+    acc = IDENT256[:n] if type(t) is bytes else tuple(range(n))
     while e:
         if e & 1:
             acc = mul(acc, t)
@@ -121,7 +144,7 @@ def parse_cycles(text: str, degree: int):
     if degree < 1:
         raise CycleParseError(f"degree must be >= 1, got {degree}")
     pos = 0
-    images = list(range(degree)) if degree > BYTE_DEGREE_LIMIT else bytearray(IDENT256)
+    images = list(range(degree)) if degree > BYTE_DEGREE_LIMIT else bytearray(IDENT256[:degree])
     used: set[int] = set()
     depth = 0
     current: list[int] = []
@@ -191,8 +214,7 @@ class Perm:
             raise CycleParseError(f"not a permutation of 0..{n - 1}: {images}")
         images = list(images) + list(range(len(images), n))
         if n <= BYTE_DEGREE_LIMIT:
-            table = bytes(images) + IDENT256[len(images):]
-            return cls(n, table)
+            return cls(n, bytes(images))
         return cls(n, tuple(images))
 
     # -- core operations ---------------------------------------------------

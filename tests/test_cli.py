@@ -12,6 +12,7 @@ import pytest
 
 from radlab import cli
 from radlab.catalog import CORPUS, CVL_LISTS, data_dir, symmetric, save_group_file
+from radlab.group import PermutationGroup
 from radlab.structure import solvable_radical
 from radlab.verify import STATUS_COUNTEREXAMPLE, STATUS_VERIFIED, VerificationReport
 
@@ -255,6 +256,29 @@ def test_member_pair_cap_exhaustion(capsys):
     code, _, err = run(["member", "S5", "(2 3)(4 5)", "--method", "b1", "--pair-cap", "1"], capsys)
     assert code == 3
     assert "cap exceeded" in err
+
+
+def test_member_lists_the_class_only_for_a_report_within_the_cap(tmp_path, capsys, monkeypatch):
+    # the probe finds a witness for the 7-cycle at once, so only the report's
+    # class size would need the class of x listed (720 elements)
+    argv = ["member", "S7", "(1 2 3 4 5 6 7)", "--cap", "10"]
+    f = tmp_path / "m.json"
+    listed = []
+    class_tables = PermutationGroup.conjugacy_class_tables
+
+    def recording(self, t):
+        listed.append(t)
+        return class_tables(self, t)
+
+    monkeypatch.setattr(PermutationGroup, "conjugacy_class_tables", recording)
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and "NOT in the solvable radical" in out and not listed
+    code, out, err = run(argv + ["--out", str(f)], capsys)
+    assert code == 3 and not out and "cap exceeded" in err and "5040" in err
+    assert not listed and not f.exists()
+    code, _, _ = run(["member", "S7", "(1 2 3 4 5 6 7)", "--cap", "5040", "--out", str(f)], capsys)
+    assert code == 0 and len(listed) == 1
+    assert json.loads(f.read_text())["checks"][0]["class_size"] == 720
 
 
 def test_verify_equivalence_report(tmp_path, capsys):

@@ -11,10 +11,11 @@ import pytest
 
 from radlab import catalog
 from radlab.arith import factorize, p_part
+from radlab.criteria import find_witness, member_b1, member_combined
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
 from radlab.group import SYLOW_DRAWS, PermutationGroup, group_from_cycles
-from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order
-from radlab.structure import _commutator_tables, derived_subgroup
+from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order, wide
+from radlab.structure import _commutator_tables, derived_subgroup, solvable_radical
 from radlab.verify import verify_cvl, verify_equivalence
 
 
@@ -168,7 +169,7 @@ class FullSweepClosure:
             y = queue[qi]
             qi += 1
             for h, hinv in zip(g.gens, g.gen_invs):
-                z = g._mul(g._mul(hinv, y), h)
+                z = mul(mul(hinv, y), h)
                 if not n.contains_table(z):
                     n._adopt(z)
                     queue.append(z)
@@ -361,6 +362,42 @@ def test_tables_match_reference_order(corpus):
     for name, g in groups.items():
         assert list(g.tables()) == list(reference_tables(g)), name
     assert len(list(wide.tables())) == 2160
+
+
+def test_every_table_handed_out_has_the_degree_length():
+    # at degree 256 the A5 moves the last point, where a table needs no pad
+    groups = [
+        G(5, "(1 2 3 4 5)", "(3 4 5)"),
+        G(256, "(252 253 254 255 256)", "(252 253 254)", "(1 2 3)"),
+        catalog.build_named("S3xA5"),
+        catalog.cvl_realization("PSL2_8").group,
+    ]
+    for g in groups:
+        n = g.degree
+        primes = factorize(g.order).primes
+        handed = {
+            "tables": list(g.tables()),
+            "strong": g.strong_tables(),
+            "gens": g.gens + g.gen_invs,
+            "pair": [t for pair in g.generating_pair() for t in pair],
+            "random": [g.random_element(random.Random(seed)).t for seed in range(5)],
+            "derived": derived_subgroup(g).gens,
+        }
+        for p in primes:
+            handed[f"p_elements {p}"] = list(g.p_element_tables(p))
+            handed[f"sylow {p}"] = g.sylow(p, random.Random(0)).gens
+            handed[f"reps {p}"] = [t for t, _size in g.class_representatives_tables(p)]
+        reps = [t for t, _size in g.class_representatives_tables(None)]
+        handed["reps"] = reps
+        handed["class"] = g.conjugacy_class_tables(reps[-1])[0]
+        handed["closure"] = g._normal_closure_tables(reps[1:2]).gens
+        radical = solvable_radical(g)
+        x = next(Perm(n, t) for t in reps if not radical.contains_table(t))
+        witnesses = [find_witness(g, x), member_b1(g, x).witness, member_combined(g, x).witness]
+        handed["witness"] = [t for w in witnesses for t in (w.x.t, w.y.t)]
+        for what, tables in handed.items():
+            assert tables, (g, what)
+            assert all(type(t) is bytes and len(t) == n for t in tables), (g, what)
 
 
 def brute_classes(elements, n, k):
@@ -567,12 +604,11 @@ def reference_verify_level(self, i):
     lvl = self._levels[i]
     reference_rebuild_orbit(self, lvl)
     orbit = lvl.orbit
-    compose = self._mul
     ident = self._ident
     for p, (u, _uinv) in orbit.items():
         for s in lvl.gens:
             q = s[p]
-            schreier = compose(compose(u, s), orbit[q][1])
+            schreier = mul(mul(u, s), orbit[q][1])
             if schreier == ident:
                 continue
             res, j = self._sift(schreier, i + 1)
@@ -581,9 +617,10 @@ def reference_verify_level(self, i):
 
 
 def reference_rebuild_orbit(self, lvl):
+    """Every orbit point gets a fresh (u, u^-1), u^-1 padded as the
+    library stores it."""
     ident = self._ident
-    compose = self._mul
-    orbit = {lvl.base: (ident, ident)}
+    orbit = {lvl.base: (ident, wide(ident))}
     queue = [lvl.base]
     qi = 0
     while qi < len(queue):
@@ -593,8 +630,8 @@ def reference_rebuild_orbit(self, lvl):
         for s in lvl.gens:
             q = s[p]
             if q not in orbit:
-                uq = compose(u, s)
-                orbit[q] = (uq, inv(uq, self.degree))
+                uq = mul(u, s)
+                orbit[q] = (uq, wide(inv(uq, self.degree)))
                 queue.append(q)
     lvl.orbit = orbit
 
