@@ -115,7 +115,7 @@ def _cmd_radical(args, cfg: RunConfig) -> int:
     method = args.method
     if method == METHOD_TWO_ELEMENT:
         raise PreconditionError(
-            "the two-element criterion applies only to x of odd prime-power order, "
+            "the two-element criterion applies only to x of odd order, "
             "so it cannot generate R(G) by itself; use oracle, b1, odd-p or combined"
         )
     if method == "oracle":

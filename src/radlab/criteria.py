@@ -6,7 +6,7 @@ criteria is that far smaller y-sets already decide membership:
 
   b1           y ranges over all of G (the baseline equivalence)
   odd-p        y ranges over p-elements for every odd prime p dividing |G|
-  two-element  x itself is a p-element for an odd p; y ranges over 2-elements
+  two-element  x has odd order; y ranges over 2-elements
   combined     over the primary components of x: the 2-component is
                checked against odd-prime p-elements, and each odd component
                against 2-elements; together these decide x.
@@ -282,6 +282,9 @@ def _member(
     g: PermutationGroup, x: Perm, kind, method: str, pair_cap: int, cap: int
 ) -> MembershipVerdict:
     _require_member(g, x)
+    if kind == 2 and x.order() % 2 == 0:
+        # the 2-elements decide membership only for x of odd order
+        raise PreconditionError(f"x must have odd order, but o(x) = {x.order()}")
     if x.is_identity():
         # <identity, y> is cyclic, hence solvable, for every y
         return MembershipVerdict(x, method, True, None, 0)
@@ -315,16 +318,9 @@ def member_two_element(
     pair_cap: int = DEFAULT_PAIR_CAP,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> MembershipVerdict:
-    """For x a p-element with p odd: x in R(G) iff <x, y> is solvable for
-    every 2-element y."""
-    _require_member(g, x)
-    o = x.order()
-    if _prime_of_order(o) in (None, 2):
-        raise PreconditionError(
-            f"x must be a p-element for an odd prime, but o(x) = {o}"
-        )
-    w, tested = _scan(g, x, 2, True, pair_cap, cap)
-    return MembershipVerdict(x, METHOD_TWO_ELEMENT, w is None, w, tested)
+    """For x of odd order: x in R(G) iff <x, y> is solvable for every
+    2-element y."""
+    return _member(g, x, 2, METHOD_TWO_ELEMENT, pair_cap, cap)
 
 
 def member_combined(
@@ -360,15 +356,17 @@ def find_witness(
 
     Order: primes ascending (odd primes for "odd-p", just 2 for
     "two-element", all primes for "any"); within a prime, the domain's
-    p-element enumeration order. domain restricts where y ranges (e.g. a
-    socle); the pair subgroup always lives in the ambient degree. Raises
-    CapExceededError when the pair budget runs out first, which is reported
-    distinctly from a completed search without a witness.
+    p-element enumeration order. domain, a subgroup of g, restricts where y
+    ranges (e.g. a socle). Raises CapExceededError when the pair budget runs
+    out first, which is reported distinctly from a completed search without
+    a witness.
     """
     _require_member(g, x)
     dom = domain if domain is not None else g
     if dom.degree != g.degree:
         raise PreconditionError("witness domain degree differs from the group's")
+    if dom is not g and not all(g.contains_table(t) for t in dom.gens):
+        raise PreconditionError("witness domain is not a subgroup of the group")
     if constraint not in _CONSTRAINT_KINDS:
         raise PreconditionError(f"unknown witness constraint {constraint!r}")
     return _scan(dom, x, _CONSTRAINT_KINDS[constraint], False, pair_cap, cap)[0]
@@ -381,16 +379,15 @@ def witness_is_valid(
 ) -> bool:
     """Re-validate a witness from its fields: the pair subgroup is not
     solvable, its order matches, derived_steps matches, y is a p-element of
-    the stated prime, and the parts lie where claimed."""
-    if w.x.degree != w.y.degree:
+    the stated prime, x and y lie in ambient, and y lies in y_domain. A
+    group of another degree holds no part of the witness."""
+    n = w.x.degree
+    if w.y.degree != n:
         return False
-    solvable, order, steps, _h = _pair_solvable(w.x.degree, w.x.t, w.y.t)
+    for grp, parts in ((ambient, (w.x, w.y)), (y_domain, (w.y,))):
+        if grp is not None and (grp.degree != n or not all(grp.contains(e) for e in parts)):
+            return False
+    solvable, order, steps, _h = _pair_solvable(n, w.x.t, w.y.t)
     if solvable or order != w.subgroup_order or steps != w.derived_steps:
         return False
-    if w.prime is not None and _prime_of_order(w.y.order()) != w.prime:
-        return False
-    if ambient is not None and not ambient.contains(w.x):
-        return False
-    if y_domain is not None and not y_domain.contains(w.y):
-        return False
-    return True
+    return w.prime is None or _prime_of_order(w.y.order()) == w.prime

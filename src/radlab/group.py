@@ -4,14 +4,14 @@ The chain is computed by a deterministic Schreier-Sims procedure: base points
 are chosen as the least moved point of each new residue, orbits are explored
 breadth-first with generators in list order, and every data structure is an
 insertion-ordered dict or list, so the chain, the element enumeration order,
-and all downstream verdicts are reproducible run to run. One insertion
-cascade (one _add_generator call) re-verifies a level each time a deeper
-strong generator lands, and it sifts no Schreier generator that an earlier
-pass of the same cascade proved to lie in the next level's group. That
-group only grows within the cascade, and the levels below a level being
-verified are complete, so such a sift would return the identity and insert
-nothing: the chain is the one that sifting everything builds. A rebuilt
-orbit keeps the transversal pair (u, u^-1) of a point whose u is unchanged.
+and all downstream verdicts are reproducible run to run. A level is
+re-verified each time a deeper strong generator lands, and for the life of
+the group it sifts no Schreier generator that an earlier verification proved
+to lie in the next level's group. Strong generators are only ever added, so
+that group only grows, and the levels below a level being verified are
+complete, so such a sift would return the identity and insert nothing: the
+chain is the one that sifting everything builds. A rebuilt orbit keeps the
+transversal pair (u, u^-1) of a point whose u is unchanged.
 
 A conjugacy class is represented by its first member in enumeration order.
 Classes of elements of a prime order p are found without enumerating the
@@ -85,9 +85,9 @@ class _Level:
         self.gens: list = []
         # point -> (u, u^-1 padded) with u mapping base to point; insertion = BFS order
         self.orbit: dict = {}
-        # Schreier generators known to lie in the next level's group; a set
-        # only while an _add_generator cascade runs (see _verify_level)
-        self.proven: set | None = None
+        # Schreier generators known to lie in the next level's group (see
+        # _verify_level); kept for the life of the group
+        self.proven: set = set()
 
 
 class PermutationGroup:
@@ -154,8 +154,6 @@ class PermutationGroup:
         if res == self._ident:
             return False
         self._insert_strong(0, i, res)
-        for lvl in self._levels:
-            lvl.proven = None
         self._order = None
         self._pelement_cache.clear()
         self._class_cache.clear()
@@ -194,17 +192,15 @@ class PermutationGroup:
     def _verify_level(self, i: int) -> None:
         """Rebuild level i's orbit and make all its Schreier generators sift.
 
-        A Schreier generator in lvl.proven is skipped: an earlier pass of
-        the same cascade sifted it, or inserted its residue, so it lies in
-        the group H of level i + 1. H only grows within the cascade, and the
-        levels below i are complete for H whenever level i is verified (the
-        cascade verifies deepest-first), so its sift would return the
-        identity and insert nothing.
+        A Schreier generator in lvl.proven is skipped: an earlier
+        verification of level i sifted it, or inserted its residue, so it
+        lies in the group H of level i + 1. Strong generators are only ever
+        added, so it stays in H, and the levels below i are complete for H
+        whenever level i is verified (a cascade verifies deepest-first), so
+        its sift would return the identity and insert nothing.
         """
         lvl = self._levels[i]
         self._rebuild_orbit(lvl)
-        if lvl.proven is None:
-            lvl.proven = set()
         proven = lvl.proven
         orbit = lvl.orbit
         compose = self._mul

@@ -30,7 +30,6 @@ from .criteria import (
     METHOD_TWO_ELEMENT,
     MembershipVerdict,
     Witness,
-    _prime_of_order,
     find_witness,
     member_b1,
     member_combined,
@@ -115,7 +114,7 @@ def _equivalence_check(g: PermutationGroup, radical: PermutationGroup,
         member_combined(g, x, pair_cap, cap),
     ]
     xo = x.order()
-    if _prime_of_order(xo) not in (None, 2):
+    if xo % 2:
         verdicts.append(member_two_element(g, x, pair_cap, cap))
     agreed = all(v.member == oracle for v in verdicts)
     witness = None

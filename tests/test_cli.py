@@ -143,11 +143,11 @@ def test_radical_report_bytes_as_pinned(tmp_path, capsys):
 
 
 def test_radical_refuses_two_element(capsys):
-    # the criterion decides only x of odd prime-power order, so the 2-elements
+    # the criterion decides only x of odd order, so the 2-elements
     # of R(S3 x A5) = S3 would never enter the normal closure
     code, out, err = run(["radical", "S3xA5", "--method", "two-element"], capsys)
     assert code == 2 and not out
-    assert len(err.strip().splitlines()) == 1 and "odd prime-power" in err
+    assert len(err.strip().splitlines()) == 1 and "odd order" in err
 
 
 def test_out_refused_where_no_report_is_written(tmp_path, capsys, monkeypatch):
@@ -237,7 +237,7 @@ def test_member_negative_prints_witness(capsys):
 
 
 def test_member_method_precondition(capsys):
-    # two-element demands an odd primary element
+    # two-element demands an element of odd order
     code, _, err = run(["member", "A5", "(1 2)(3 4)", "--method", "two-element"], capsys)
     assert code == 2 and err
 

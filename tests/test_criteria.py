@@ -25,6 +25,7 @@ from radlab.criteria import (
     METHOD_B1,
     METHOD_COMBINED,
     METHOD_ODD_P,
+    METHOD_TWO_ELEMENT,
     MembershipVerdict,
     Witness,
     _coverage,
@@ -98,13 +99,21 @@ def test_a5_involution_gets_odd_p_witness(corpus):
     assert witness_is_valid(v.witness, ambient=a5)
 
 
-def test_two_element_requires_odd_primary_element(corpus):
+def test_two_element_requires_odd_order(corpus):
+    # the criterion holds for every x of odd order, not only odd primary ones
+    g = corpus["S3xA5"]
+    x = Perm.from_cycles("(1 2 3)(4 5 6 7 8)", 8)  # order 15, outside R(G) = S3
+    v = member_two_element(g, x)
+    assert not v.member and v.witness.prime == 2
+    assert witness_is_valid(v.witness, ambient=g)
+    c15 = catalog.cyclic(15)
+    assert member_two_element(c15, c15.generators[0]).member
+    one = Perm.identity(8)
+    assert member_two_element(g, one) == MembershipVerdict(one, METHOD_TWO_ELEMENT, True, None, 0)
     c12 = corpus["C12"]
-    x15 = catalog.cyclic(15)
-    with pytest.raises(PreconditionError):
-        member_two_element(x15, Perm.from_cycles("(1 2 3 4 5 6 7 8 9 10 11 12 13 14 15)", 15))
-    with pytest.raises(PreconditionError):
-        member_two_element(c12, c12.generators[0] ** 6)  # order 2
+    for k in (6, 2):  # orders 2 and 6
+        with pytest.raises(PreconditionError):
+            member_two_element(c12, c12.generators[0] ** k)
 
 
 def test_membership_error_for_foreign_element(corpus):
@@ -195,6 +204,13 @@ def test_witnesses_revalidate_and_reject_tampering(corpus):
         w, y=w.x**2, subgroup_order=5, derived_steps=0
     )
     assert not witness_is_valid(fake)
+    # <x> holds x but not y, and a witness is a pair of elements of G
+    only_x = PermutationGroup(5, [w.x])
+    assert not witness_is_valid(w, ambient=only_x)
+    assert not witness_is_valid(w, y_domain=only_x)
+    # a group of another degree holds neither part: False, not an error
+    assert not witness_is_valid(w, ambient=corpus["S4"])
+    assert not witness_is_valid(w, y_domain=corpus["S4"])
 
 
 def test_find_witness_solvable_group_returns_none(corpus):
@@ -261,6 +277,11 @@ def test_find_witness_rejects_bad_domain(corpus):
         find_witness(a5, Perm.from_cycles("(1 2 3)", 5), domain=corpus["S4"])
     with pytest.raises(PreconditionError):
         find_witness(a5, Perm.from_cycles("(1 2 3)", 5), constraint="sideways")
+    # a domain of the right degree outside g: in the solvable <(1 2 3)> it
+    # would return a "witness" y that is not in the group
+    x = Perm.from_cycles("(1 2 3)", 5)
+    with pytest.raises(PreconditionError):
+        find_witness(PermutationGroup(5, [x]), x, domain=a5)
 
 
 def test_pair_cap_is_distinct_from_exhaustion(corpus):
@@ -637,8 +658,7 @@ def outcome(fn, g, x, **kw):
 
 def member_methods(x):
     methods = [member_b1, member_oddp, member_combined]
-    f = factorize(x.order()).pairs
-    if len(f) == 1 and f[0][0] != 2:
+    if x.order() % 2:
         methods.append(member_two_element)
     return methods
 

@@ -640,13 +640,17 @@ def chain_snapshot(g):
     return [(lvl.base, list(lvl.gens), list(lvl.orbit.items())) for lvl in g._levels]
 
 
-def chains_of_catalog_groups():
-    chains = {name: chain_snapshot(catalog.build_named(name)) for name in catalog.CORPUS}
+def catalog_groups():
+    groups = {name: catalog.build_named(name) for name in catalog.CORPUS}
     for socle in catalog._REALIZERS:
         real = catalog.cvl_realization(socle)
-        chains[socle + "/aut"] = chain_snapshot(real.group)
-        chains[socle + "/socle"] = chain_snapshot(real.socle)
-    return chains
+        groups[socle + "/aut"] = real.group
+        groups[socle + "/socle"] = real.socle
+    return groups
+
+
+def chains_of_catalog_groups():
+    return {name: chain_snapshot(g) for name, g in catalog_groups().items()}
 
 
 def test_identity_skip_builds_the_same_chains(monkeypatch):
@@ -666,7 +670,6 @@ def chains_the_scans_build(monkeypatch, real):
 
     def recording(self, t):
         grew = real(self, t)
-        assert all(lvl.proven is None for lvl in self._levels)
         if grew:
             states.append(chain_snapshot(self))
         return grew
@@ -681,8 +684,7 @@ def chains_the_scans_build(monkeypatch, real):
 def test_every_chain_the_scans_build_is_the_reference_chain(monkeypatch):
     # every pair subgroup, derived term and closure of three harness runs,
     # after every growth step, built with the Schreier and inverse memos and
-    # with the reference functions above; a group keeps no Schreier memo
-    # after _add_generator returns
+    # with the reference functions above, which keep no Schreier memo
     add_generator = PermutationGroup._add_generator
     states = chains_the_scans_build(monkeypatch, add_generator)
     monkeypatch.setattr(PermutationGroup, "_verify_level", reference_verify_level)
@@ -691,6 +693,22 @@ def test_every_chain_the_scans_build_is_the_reference_chain(monkeypatch):
     assert len(states) == len(expect) > 400
     for i, (got, want) in enumerate(zip(states, expect)):
         assert got == want, i
+
+
+def test_proven_schreier_generators_stay_in_the_deeper_group():
+    # every Schreier generator a level keeps as proven sifts to the identity
+    # through the levels below it, after every growth step: catalog chains,
+    # and closures that grow by one _adopt at a time
+    groups = catalog_groups()
+    s7 = catalog.build_named("S7")
+    groups["A7 closure"] = s7.normal_closure([Perm.from_cycles("(1 2 3)", 7)])
+    assert len(groups["A7 closure"].gens) > 1
+    groups["S3xA5 radical"] = solvable_radical(catalog.build_named("S3xA5"))
+    for label, g in groups.items():
+        for i, lvl in enumerate(g._levels):
+            for s in lvl.proven:
+                assert g._sift(s, i + 1)[0] == g._ident, (label, i)
+    assert all(lvl.proven for lvl in groups["A7 closure"]._levels[:-1])
 
 
 def reference_sylow(g, p, rng, budget=SYLOW_DRAWS):
