@@ -7,10 +7,11 @@ PSU3_3, ...). Reports are written to --out when given; order and radical
 would not read is a usage error rather than ignored: a name after verify
 corpus, --list outside verify cvl, --cap or --pair-cap to order, --pair-cap
 to radical --method oracle. A negative --cap or --pair-cap is a usage error
-too. member lists the element's conjugacy class only for the report's class
-size, so it does so only with --out, and refuses --out when |G| exceeds
---cap. Human-readable summaries always go to stdout and timings never enter
-report files.
+too. member decides x through the least member of its conjugacy class,
+which lists the class once when |G| is within --cap; the report's class size
+is counted from that listing, and --out is refused when |G| exceeds --cap,
+as the report would have to list the class itself. Human-readable summaries
+always go to stdout and timings never enter report files.
 
 Exit codes: 0 all checks verified, 1 counterexample found, 2 usage or parse
 error, 3 out-of-desk-scale or capped.
@@ -161,7 +162,7 @@ def _cmd_member(args, cfg: RunConfig) -> int:
               f"y = {format_cycles(w.y.t, g.degree)}, p = {w.prime}, "
               f"|<x,y>| = {w.subgroup_order}")
     if cfg.output_path:
-        _, size = g.conjugacy_class_tables(x.t)
+        _r, _d, size = g.least_conjugate(x.t, cfg.enumeration_cap)
         report = VerificationReport(name, "method", method, STATUS_VERIFIED)
         report.checks = [CheckResult(format_cycles(x.t, g.degree), x.order(), size,
                                      v.member, v.witness, True)]

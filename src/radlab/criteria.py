@@ -27,6 +27,19 @@ the commuting strong generators listed once per loop. Only solvable pairs
 are ever skipped, so the first nonsolvable y in enumeration order is tested
 and found as without either skip; pairs_tested can only fall.
 
+A member_* verdict on x is, by definition, the verdict on r, the least
+member of x's conjugacy class in enumeration order, found by
+PermutationGroup.least_conjugate with a d such that x = d^-1 * r * d. R(G)
+is normal, so x lies in it exactly when r does, and a witness <r', y> for r
+(r' is r, or a primary component of r for combined) moves back to
+<r'^d, y^d> = <r', y>^d: the same order, derived steps and prime, with
+r'^d being x or x's component. So pairs_tested, the pair-cap outcome and the
+witness are r's, moved back, and every member of a class shares one scan.
+The group maps a class by one BFS from r, so neither r nor d depends on
+which member was asked first. A class representative the group has already
+listed is its own r, as is every x of a group larger than the enumeration
+cap. find_witness is not transported: it promises the first y for x itself.
+
 Every criterion is one scan, _scan, of <checked, y> over one family of y:
 all of G for b1 (kind None), the 2-elements (kind 2), the p-elements of the
 odd primes of |G| (kind "odd"), or those of every prime of |G| (kind "any",
@@ -66,7 +79,7 @@ a scan stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 from .arith import factorize, p_part
@@ -278,6 +291,16 @@ def _scan(
     return w, tested + pairs
 
 
+def _moved(w: Witness | None, d, n: int) -> Witness | None:
+    """A witness <r', y> for a component r' of r = d * x * d^-1, moved back
+    by d to <r'^d, y^d>, its conjugate: the same order, derived steps and
+    prime. w itself when there is nothing to move."""
+    if w is None or d is None:
+        return w
+    di = inv(d, n)
+    return replace(w, x=Perm(n, mul(mul(di, w.x.t), d)), y=Perm(n, mul(mul(di, w.y.t), d)))
+
+
 def _member(
     g: PermutationGroup, x: Perm, kind, method: str, pair_cap: int, cap: int
 ) -> MembershipVerdict:
@@ -288,8 +311,9 @@ def _member(
     if x.is_identity():
         # <identity, y> is cyclic, hence solvable, for every y
         return MembershipVerdict(x, method, True, None, 0)
-    w, tested = _scan(g, x, kind, True, pair_cap, cap)
-    return MembershipVerdict(x, method, w is None, w, tested)
+    r, d, _size = g.least_conjugate(x.t, cap)
+    w, tested = _scan(g, Perm(g.degree, r), kind, True, pair_cap, cap)
+    return MembershipVerdict(x, method, w is None, _moved(w, d, g.degree), tested)
 
 
 def member_b1(
@@ -333,11 +357,12 @@ def member_combined(
     2-component against odd-prime p-elements, each odd component against
     2-elements."""
     _require_member(g, x)
+    r, d, _size = g.least_conjugate(x.t, cap)
     tested = 0
-    for p, comp in primary_decomposition(x).components:
+    for p, comp in primary_decomposition(Perm(g.degree, r)).components:
         w, tested = _scan(g, comp, "odd" if p == 2 else 2, True, pair_cap, cap, tested)
         if w is not None:
-            return MembershipVerdict(x, METHOD_COMBINED, False, w, tested)
+            return MembershipVerdict(x, METHOD_COMBINED, False, _moved(w, d, g.degree), tested)
     return MembershipVerdict(x, METHOD_COMBINED, True, None, tested)
 
 

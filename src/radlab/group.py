@@ -27,9 +27,16 @@ generating pair rather than by every listed generator: a group that lists
 more than two generators draws seeded random pairs and keeps the first whose
 subgroup has order |G|, which certifies that it generates G; a class is the
 same set under any generating set. When the draws run out, the listed
-generators are used. Class lists, p-element streams, the pair and the
-criteria's scan memo are cached on the group and dropped when it grows; the
-enumeration cap is checked before any cached answer is returned.
+generators are used. least_conjugate() maps an element to the least member r
+of its class and a d with element = d^-1 * r * d: it lists the class once,
+then a BFS from r over the generating pair records which generator first
+reached each member (a Schreier vector), and d is the product of the
+generators on the way back to r. So d depends only on the class, never on
+which member was asked first; a listed class representative is entered as
+its class's r, with no BFS. Class lists, the class map, p-element
+streams, the pair and the criteria's scan memo are cached on the group and
+dropped when it grows; the enumeration cap is checked before any cached
+answer is returned.
 
 Raw images tables (see perm.py) are used internally; the public surface talks
 in Perm objects. Every table the group hands out or keys a set on is n bytes
@@ -123,6 +130,10 @@ class PermutationGroup:
         self._pelement_cache: dict[int, _FilledStream] = {}
         # order_filter -> [(rep_table, class_size)], in enumeration order
         self._class_cache: dict[int | None, list] = {}
+        # member table -> generator index of its BFS parent in its class, or
+        # minus the class size for the class's least member (every listed
+        # class representative is one); see _map_class()
+        self._class_map: dict = {}
         # what criteria.py's scans of this group stored; made and read there
         self.scan_memo: tuple | None = None
         # [(g, g^-1)] for a generating pair; see generating_pair()
@@ -157,6 +168,7 @@ class PermutationGroup:
         self._order = None
         self._pelement_cache.clear()
         self._class_cache.clear()
+        self._class_map.clear()
         self.scan_memo = None
         self._pair = None
         return True
@@ -453,6 +465,59 @@ class PermutationGroup:
             members=tuple(Perm(self.degree, t) for t in members),
         )
 
+    def least_conjugate(self, t, cap: int = DEFAULT_ENUMERATION_CAP):
+        """(r, d, size) for a member table t: r the least member of t's class
+        in tables() order, d with t = d^-1 * r * d (None when r is t), and
+        the class size.
+
+        t is its own r when |G| exceeds cap, as a class BFS is bounded only
+        by |G|; the size is then None. A representative in a class list the
+        group has made is in the class map already, as its class's root, so
+        it lists nothing. Otherwise the class is listed once, r found by
+        _chain_least, and a BFS from r over generating_pair() maps the class
+        (_map_class), so that d, like r, depends on the class alone.
+        """
+        if self.order > cap:
+            return t, None, None
+        cmap = self._class_map
+        i = cmap.get(t)
+        if i is None:
+            members, _size = self.conjugacy_class_tables(t)
+            self._map_class(self._chain_least(members)[1])
+            i = cmap[t]
+        if i < 0:  # t is its class's root
+            return t, None, -i
+        compose, pad = self._mul, self._pad
+        pair = self.generating_pair()
+        r, d = t, None
+        while i >= 0:
+            # r = g^-1 * p * g for its BFS parent p, and d gains g in front
+            g, ginv = pair[i]
+            r = compose(compose(g, r + pad), ginv + pad)
+            d = g if d is None else compose(g, d + pad)
+            i = cmap[r]
+        return r, d, -i
+
+    def _map_class(self, r) -> None:
+        """Class map entries for the class of r, by BFS from r over
+        generating_pair(): a member first reached as g_i^-1 * p * g_i from a
+        member p maps to i, and r to minus the class size. A member
+        m = d^-1 * r * d gives g_i^-1 * m * g_i = (d * g_i)^-1 * r * (d * g_i)."""
+        compose = self._mul
+        pad = self._pad
+        conjugators = [(g + pad, ginv) for g, ginv in self.generating_pair()]
+        cmap = self._class_map
+        cmap[r] = -1
+        queue = [r]
+        for y in queue:  # the list grows as it is read: breadth-first
+            yw = y + pad
+            for i, (g, ginv) in enumerate(conjugators):
+                z = compose(compose(ginv, yw), g)
+                if z not in cmap:
+                    cmap[z] = i
+                    queue.append(z)
+        cmap[r] = -len(queue)
+
     def class_representatives_tables(
         self,
         order_filter: int | None = None,
@@ -482,6 +547,9 @@ class PermutationGroup:
             if classes is None:
                 classes = self._classes_by_enumeration(order_filter, cap)
             self._class_cache[order_filter] = classes
+            # a representative is its class's least member: a class map root
+            for rep, size in classes:
+                self._class_map[rep] = -size
         yield from classes
 
     def _classes_by_enumeration(self, order_filter: int | None, cap: int) -> list:

@@ -1025,3 +1025,102 @@ def test_random_groups_memos_and_oracle_agree(seed):
         r = radical_by_method(g, method)[0]
         assert r.order == radical.order, (seed, method)
         assert all(radical.contains(p) for p in r.generators), (seed, method)
+
+
+# -- verdicts transported from the least member of a class --------------------
+
+
+def transport_groups():
+    """Fresh groups, so no class is listed before the queries; S4 x PSL(2,7)
+    is built as perfbench/workloads.py builds it."""
+    gs = {name: catalog.build_named(name) for name in ("S5", "S3xA5", "PSL2_7")}
+    s4, psl = catalog.build_named("S4"), catalog.build_named("PSL2_7")
+    gs["S4xPSL2_7"] = catalog.direct_product(s4, psl, name="S4xPSL2_7")
+    return gs
+
+
+def test_every_class_member_gets_its_representatives_verdict():
+    # a member_* verdict on x is the one on the least member r of x's class,
+    # with the witness moved back from r to x: same verdict and pair count
+    # for the whole class, and every moved witness is one for x itself (or
+    # for x's failing primary component under combined)
+    for name, g in transport_groups().items():
+        for cls in g.class_representatives():
+            rep = cls.representative
+            members = g.conjugacy_class(rep).members
+            assert len(members) == cls.size
+            for fn in member_methods(rep):
+                expect = fn(g, rep)
+                for x in members:
+                    v = fn(g, x)
+                    assert (v.member, v.pairs_tested) == (expect.member, expect.pairs_tested), (
+                        name, x.cycles(), fn.__name__)
+                    w = v.witness
+                    if w is None:
+                        continue
+                    assert witness_is_valid(w, ambient=g), (name, x.cycles(), fn.__name__)
+                    if fn is member_combined:
+                        assert w.x in [c for _p, c in primary_decomposition(x).components]
+                    else:
+                        assert w.x == x, (name, x.cycles(), fn.__name__)
+
+
+def test_transported_verdicts_do_not_depend_on_query_order():
+    # the conjugator that moves a witness comes from a BFS rooted at the
+    # least member, so the first member asked does not shape it, and a group
+    # that stores no scan gives the same answers
+    for name in ("S5", "S3xA5", "PSL2_7"):
+        xs = list(catalog.build_named(name).elements())
+
+        def answers(g, order):
+            return {
+                (x, fn.__name__): outcome(fn, g, x) for x in order for fn in member_methods(x)
+            }
+
+        forward = answers(catalog.build_named(name), xs)
+        assert answers(catalog.build_named(name), xs[::-1]) == forward, name
+        assert answers(memo_free(catalog.build_named(name)), xs) == forward, name
+
+
+def test_transport_lists_no_class_the_group_has_listed():
+    # a class representative the group has listed already is decided as it
+    # is: no class BFS, so verify_equivalence and radical_by_method list no
+    # class beyond those they ask for
+    g = catalog.build_named("S3xA5")
+    reps = [c.representative for c in g.class_representatives()]
+    listed = []
+    real = g.conjugacy_class_tables
+    g.conjugacy_class_tables = lambda t: listed.append(t) or real(t)
+    for x in reps:
+        for fn in member_methods(x):
+            fn(g, x)
+    assert not listed and set(g._class_map) == {x.t for x in reps}
+    # a non-representative lists its class once, whatever the method
+    x = Perm.from_cycles("(4 5 6 7 8)", 8)
+    for fn in member_methods(x):
+        assert not fn(g, x).member
+    assert len(listed) == 1
+
+
+def has_p_witness(g, x, p):
+    """Whether some p-element y of g makes <x, y> nonsolvable, testing every
+    y without the criteria's scan."""
+    return any(not _pair_solvable(g.degree, x.t, yt)[0] for yt in g.p_element_tables(p))
+
+
+@pytest.mark.parametrize("name, x, without, with_", [
+    # Theorem 2 needs x of odd order: an involution of A5, and an element of
+    # order 6 in S3 x A5, have no 2-element witness
+    ("A5", "(1 2)(3 4)", 2, (3, 5)),
+    ("S3xA5", "(1 2 3)(5 8)(6 7)", 2, (3, 5)),
+    # Theorem 1 needs every odd prime: no 3-element witness, but a 5-element one
+    ("S5", "(1 2)", 3, (5,)),
+    ("S6", "(1 2)(3 4)(5 6)", 3, (5,)),
+])
+def test_cases_where_the_hypotheses_matter(corpus, name, x, without, with_):
+    g = corpus[name]
+    x = Perm.from_cycles(x, g.degree)
+    assert not solvable_radical(g).contains(x)
+    assert not has_p_witness(g, x, without)
+    for p in with_:
+        assert has_p_witness(g, x, p), (name, p)

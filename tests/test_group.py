@@ -252,6 +252,30 @@ def test_class_representatives_order_filter():
     assert sorted(c.size for c in reps3) == [4, 4]
 
 
+def test_least_conjugate_against_the_enumeration():
+    # r must be the first member of t's class in tables() order, d must
+    # conjugate r to t, and the size must be the class's; A5wr2 lists more
+    # than two generators, so its map runs over a drawn generating pair
+    for name in ("S5", "PSL2_7", "A5wr2"):
+        g = catalog.build_named(name)
+        n = g.degree
+        first = {}
+        for t in g.tables():
+            if t not in first:
+                first.update(dict.fromkeys(g.conjugacy_class_tables(t)[0], t))
+        sizes = dict(catalog.build_named(name).class_representatives_tables())
+        for t in g.tables():
+            r, d, size = g.least_conjugate(t)
+            assert r == first[t] and size == sizes[r], (name, format_cycles(t, n))
+            assert (d is None) == (r == t)
+            assert d is None or mul(mul(inv(d, n), r), d) == t
+        # a representative the group has listed is its own r, with no conjugator
+        assert dict(g.class_representatives_tables()) == sizes
+        for t, size in sizes.items():
+            assert g.least_conjugate(t) == (t, None, size)
+        assert g.least_conjugate(g.gens[0], cap=g.order - 1) == (g.gens[0], None, None)
+
+
 def test_involution_class_size_psl2_7():
     g = catalog.build_named("PSL2_7")
     assert g.order == 168
