@@ -132,7 +132,7 @@ class PermutationGroup:
         self._class_cache: dict[int | None, list] = {}
         # member table -> generator index of its BFS parent in its class, or
         # minus the class size for the class's least member (every listed
-        # class representative is one); see _map_class()
+        # class representative is one); see least_conjugate()
         self._class_map: dict = {}
         # what criteria.py's scans of this group stored; made and read there
         self.scan_memo: tuple | None = None
@@ -433,7 +433,16 @@ class PermutationGroup:
         return self._pair
 
     def conjugacy_class_tables(self, t):
-        """(members_in_BFS_order, size).
+        """(members_in_BFS_order, size), by _class_bfs()."""
+        tree = self._class_bfs(t)
+        return list(tree), len(tree)
+
+    def _class_bfs(self, t) -> dict:
+        """t's class by BFS over generating_pair(), as a dict in BFS order: a
+        member first reached as g_i^-1 * p * g_i from a member p maps to i,
+        and t to -1. A member m = d^-1 * t * d so gives
+        g_i^-1 * m * g_i = (d * g_i)^-1 * t * (d * g_i): walking the indices
+        back to t rebuilds a conjugator.
 
         The BFS conjugates by generating_pair(), not by every listed
         generator. The class is the same set under any generating set; only
@@ -441,19 +450,17 @@ class PermutationGroup:
         """
         compose = self._mul
         pad = self._pad
-        conjugators = [(g + pad, ginv) for g, ginv in self.generating_pair()]
-        seen = {t}
+        conjugators = [(i, g + pad, ginv) for i, (g, ginv) in enumerate(self.generating_pair())]
+        tree = {t: -1}
         queue = [t]
-        qi = 0
-        while qi < len(queue):
-            y = queue[qi] + pad
-            qi += 1
-            for g, ginv in conjugators:
-                z = compose(compose(ginv, y), g)
-                if z not in seen:
-                    seen.add(z)
+        for y in queue:  # the list grows as it is read: breadth-first
+            yw = y + pad
+            for i, g, ginv in conjugators:
+                z = compose(compose(ginv, yw), g)
+                if z not in tree:
+                    tree[z] = i
                     queue.append(z)
-        return queue, len(queue)
+        return tree
 
     def conjugacy_class(self, x: Perm) -> "ConjugacyClass":
         if not self.contains(x):
@@ -474,16 +481,18 @@ class PermutationGroup:
         by |G|; the size is then None. A representative in a class list the
         group has made is in the class map already, as its class's root, so
         it lists nothing. Otherwise the class is listed once, r found by
-        _chain_least, and a BFS from r over generating_pair() maps the class
-        (_map_class), so that d, like r, depends on the class alone.
+        _chain_least, and a second _class_bfs, from r, maps the class, so
+        that d, like r, depends on the class alone.
         """
         if self.order > cap:
             return t, None, None
         cmap = self._class_map
         i = cmap.get(t)
         if i is None:
-            members, _size = self.conjugacy_class_tables(t)
-            self._map_class(self._chain_least(members)[1])
+            members, size = self.conjugacy_class_tables(t)
+            r = self._chain_least(members)[1]
+            cmap.update(self._class_bfs(r))
+            cmap[r] = -size
             i = cmap[t]
         if i < 0:  # t is its class's root
             return t, None, -i
@@ -497,26 +506,6 @@ class PermutationGroup:
             d = g if d is None else compose(g, d + pad)
             i = cmap[r]
         return r, d, -i
-
-    def _map_class(self, r) -> None:
-        """Class map entries for the class of r, by BFS from r over
-        generating_pair(): a member first reached as g_i^-1 * p * g_i from a
-        member p maps to i, and r to minus the class size. A member
-        m = d^-1 * r * d gives g_i^-1 * m * g_i = (d * g_i)^-1 * r * (d * g_i)."""
-        compose = self._mul
-        pad = self._pad
-        conjugators = [(g + pad, ginv) for g, ginv in self.generating_pair()]
-        cmap = self._class_map
-        cmap[r] = -1
-        queue = [r]
-        for y in queue:  # the list grows as it is read: breadth-first
-            yw = y + pad
-            for i, (g, ginv) in enumerate(conjugators):
-                z = compose(compose(ginv, yw), g)
-                if z not in cmap:
-                    cmap[z] = i
-                    queue.append(z)
-        cmap[r] = -len(queue)
 
     def class_representatives_tables(
         self,
