@@ -14,7 +14,8 @@ as the report would have to list the class itself. Human-readable summaries
 always go to stdout and timings never enter report files.
 
 Exit codes: 0 all checks verified, 1 counterexample found, 2 usage or parse
-error, 3 out-of-desk-scale or capped.
+error, 3 out-of-desk-scale or capped, as is a verify cvl runnable that no
+member fits, since it would verify nothing.
 """
 
 from __future__ import annotations
@@ -188,11 +189,15 @@ def _cmd_verify(args, cfg: RunConfig) -> int:
             raise PreconditionError("verify cvl needs a group name, 'runnable', or 'all'")
         reports = []
         if args.name in ("all", "runnable"):
-            for ln in [args.list] if args.list else sorted(catalog.CVL_LISTS):
-                for e in catalog.CVL_LISTS[ln].entries:
-                    if args.name == "runnable" and not e.fits(cfg.enumeration_cap):
-                        continue
-                    reports.append(verify_cvl(e.socle, ln, **kw))
+            lists = [args.list] if args.list else sorted(catalog.CVL_LISTS)
+            entries = [(ln, e) for ln in lists for e in catalog.CVL_LISTS[ln].entries
+                       if args.name == "all" or e.fits(cfg.enumeration_cap)]
+            if not entries:
+                raise CapExceededError(
+                    f"no runnable member of {', '.join(lists)} fits enumeration cap "
+                    f"{cfg.enumeration_cap}")
+            for ln, e in entries:
+                reports.append(verify_cvl(e.socle, ln, **kw))
         else:
             lists = [args.list] if args.list else catalog.cvl_lists_for(args.name)
             if not lists:

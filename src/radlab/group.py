@@ -42,12 +42,13 @@ Raw images tables (see perm.py) are used internally; the public surface talks
 in Perm objects. Every table the group hands out or keys a set on is n bytes
 for degree n <= 256; the loops keep padded copies (perm.wide) of the tables
 they compose by: the strong generators of each level, the orbit inverses,
-the odometer's transversals and the conjugators of a BFS or closure. A BFS
-or closure member and an element being powered are padded once per use.
+the transversals tables() walks and the conjugators of a BFS or closure. A
+BFS or closure member and an element being powered are padded once per use.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .arith import is_prime, p_part
@@ -240,10 +241,7 @@ class PermutationGroup:
         old = lvl.orbit
         orbit = {lvl.base: (ident, ident + self._pad)}
         queue = [lvl.base]
-        qi = 0
-        while qi < len(queue):
-            p = queue[qi]
-            qi += 1
+        for p in queue:  # the list grows as it is read: breadth-first
             u = orbit[p][0]
             for s in lvl.gens:
                 q = s[p]
@@ -310,45 +308,23 @@ class PermutationGroup:
         """Yield every element's raw table once, in deterministic chain order.
 
         The deepest levels are folded into one transversal of their products
-        while it stays within TAIL_LIMIT elements; an odometer runs over the
-        remaining levels, and each partial product is composed with the whole
-        folded transversal in one comprehension. Composition is associative,
-        so the elements and their order are those of a plain odometer over
-        every level. The odometer's transversals and partial products are
+        while it stays within TAIL_LIMIT elements. A recursive walk over the
+        other levels, the shallowest as the major digit, composes each of
+        their products with the whole folded transversal in one
+        comprehension. Composition is associative, so the order is that of a
+        walk over every level. The walked transversals and products are
         padded translate tables; the tail and every yielded table are not.
         """
         self._check_cap(cap)
         levels = self._levels
-        if not levels:
-            yield self._ident
-            return
         compose = self._mul
         pad = self._pad
         us = [[pair[0] + pad for pair in lvl.orbit.values()] for lvl in levels[:-1]]
-        tail = [pair[0] for pair in levels[-1].orbit.values()]
+        tail = [pair[0] for pair in levels[-1].orbit.values()] if levels else [self._ident]
         while us and len(us[-1]) * len(tail) <= TAIL_LIMIT:
             tail = [compose(t, u) for u in us.pop() for t in tail]
-        k = len(us)
-        sizes = [len(u) for u in us]
-        idx = [0] * k
-        partial = [self._ident + pad] * (k + 1)
-        i = 0
-        while True:
-            while i < k:
-                u = us[i][idx[i]]
-                partial[i + 1] = compose(u, partial[i]) if idx[i] else partial[i]
-                i += 1
-            top = partial[k]
-            yield from [compose(t, top) for t in tail]
-            i = k - 1
-            while i >= 0:
-                idx[i] += 1
-                if idx[i] < sizes[i]:
-                    break
-                idx[i] = 0
-                i -= 1
-            if i < 0:
-                return
+        for chunk in _chunks(us, 0, self._ident + pad, tail, compose):
+            yield from chunk
 
     def elements(self, cap: int = DEFAULT_ENUMERATION_CAP):
         """Yield every element once as Perm, in deterministic order."""
@@ -397,32 +373,30 @@ class PermutationGroup:
         compose = self._mul
         pad = self._pad
         conjugators = [(g + pad, ginv) for g, ginv in zip(self.gens, self.gen_invs)]
-        qi = 0
-        while qi < len(queue):
-            y = queue[qi] + pad
-            qi += 1
+        for y in queue:  # the list grows as it is read
+            yw = y + pad
             for g, ginv in conjugators:
-                z = compose(compose(ginv, y), g)
+                z = compose(compose(ginv, yw), g)
                 if n._adopt(z):
                     if n.order == full:
                         return n
                     queue.append(z)
         return n
 
-    def generating_pair(self, budget: int = PAIR_DRAWS) -> list:
+    def generating_pair(self) -> list:
         """[(g, g^-1)] for at most two tables that generate the group, cached.
 
         A group listing at most two generators uses its own. Otherwise seeded
         random pairs are drawn, and the first with |<a, b>| = |G| is kept:
         <a, b> <= G, so equal orders certify that it generates G. After
-        `budget` draws the listed generators are used, so the draws cost time
-        but never change a conjugation orbit.
+        PAIR_DRAWS draws the listed generators are used, so the draws cost
+        time but never change a conjugation orbit.
         """
         if self._pair is None:
             gens = self.gens
             if len(gens) > 2:
                 rng = random.Random(SYLOW_SEED)
-                for _ in range(budget):
+                for _ in range(PAIR_DRAWS):
                     h = PermutationGroup(
                         self.degree, [self.random_element(rng), self.random_element(rng)]
                     )
@@ -550,15 +524,7 @@ class PermutationGroup:
         elif order_filter is not None:
             n = self.degree
             tables = (t for t in tables if table_order(t, n) == order_filter)
-        seen: set = set()
-        out = []
-        for t in tables:
-            if t in seen:
-                continue
-            members, size = self.conjugacy_class_tables(t)
-            seen.update(members)
-            out.append((t, size))
-        return out
+        return [(t, size) for t, _members, size in self._classes_met(tables)]
 
     def _classes_from_sylow(self, p: int) -> list | None:
         """Classes of elements of order p, seeded from a Sylow p-subgroup and
@@ -566,28 +532,31 @@ class PermutationGroup:
         sylow = self.sylow(p, random.Random(SYLOW_SEED))
         if sylow is None:
             return None
-        has_order_p = self._p_power_checker(p, p)
+        order_p = filter(self._p_power_checker(p, p), sylow.tables(sylow.order))
+        found = sorted(
+            (self._chain_least(members), size) for _t, members, size in self._classes_met(order_p)
+        )
+        return [(rep, size) for (_key, rep), size in found]
+
+    def _classes_met(self, candidates):
+        """Yield (t, members, size) for each candidate t whose class no
+        earlier candidate's class contains."""
         seen: set = set()
-        found = []
-        for t in sylow.tables(sylow.order):
-            if t in seen or not has_order_p(t):
-                continue
-            members, size = self.conjugacy_class_tables(t)
-            seen.update(members)
-            key, rep = self._chain_least(members)
-            found.append((key, rep, size))
-        found.sort()
-        return [(rep, size) for _key, rep, size in found]
+        for t in candidates:
+            if t not in seen:
+                members, size = self.conjugacy_class_tables(t)
+                seen.update(members)
+                yield t, members, size
 
     def _chain_least(self, tables: list) -> tuple[tuple, object]:
         """(position, table) for the table that tables() yields first.
 
         Sifting t through the chain reads one orbit position per level: the
         index, in orbit order, of the point t's residue sends the level's
-        base to. tables() runs over levels with the shallowest level as the
-        major digit, both in its odometer and in its folded tail, so the
-        lexicographic order of these tuples is the enumeration order. Only
-        the tables that tie on every level so far are sifted further.
+        base to. tables() runs over every level with the shallowest as the
+        major digit, folded tail included, so the lexicographic order of
+        these tuples is the enumeration order. Only the tables that tie on
+        every level so far are sifted further.
         """
         compose = self._mul
         cands = [(t, t) for t in tables]
@@ -603,8 +572,8 @@ class PermutationGroup:
                 cands = [(t, compose(r, uinv)) for t, r in cands]
         return tuple(position), cands[0][0]
 
-    def sylow(self, p: int, rng, budget: int = SYLOW_DRAWS) -> "PermutationGroup | None":
-        """A Sylow p-subgroup, or None after `budget` random draws.
+    def sylow(self, p: int, rng) -> "PermutationGroup | None":
+        """A Sylow p-subgroup, or None after SYLOW_DRAWS random draws.
 
         Each draw is a seeded random_element raised to its p-part; it joins
         the p-subgroup P built so far when <P, y> is still a p-group. P is
@@ -618,7 +587,7 @@ class PermutationGroup:
         sub = PermutationGroup(n, [])
         draws = 0
         while sub.order < target:
-            if draws >= budget:
+            if draws >= SYLOW_DRAWS:
                 return None
             draws += 1
             y = self.random_element(rng).t
@@ -697,39 +666,23 @@ class PermutationGroup:
 
 
 class _FilledStream:
-    """Iterable over a list that fills on demand from one source iterator.
+    """Iterable over one source iterator's items, fetched on demand.
 
-    Any number of iterations may be in flight at once: each replays the
-    filled prefix, then pulls the next item from the shared source and
-    appends it for the others. Once the source is exhausted, iteration is a
-    plain list iterator.
+    Each iteration is a copy of a tee of the source that is never advanced.
+    The copies share one buffer, so any number of iterations may be in
+    flight: each replays what any has fetched, then fetches for all. A tee
+    refuses a fetch while another is running, which needs a source that
+    reads the stream it feeds; the source, a filter over tables(), never
+    does, so the refusal cannot fire.
     """
 
-    __slots__ = ("_items", "_source")
+    __slots__ = ("_head",)
 
     def __init__(self, source):
-        self._items: list = []
-        self._source = source
+        self._head = itertools.tee(source, 1)[0]
 
     def __iter__(self):
-        if self._source is None:
-            return iter(self._items)
-        return self._replay()
-
-    def _replay(self):
-        items = self._items
-        i = 0
-        while True:
-            while i < len(items):
-                yield items[i]
-                i += 1
-            if self._source is None:
-                return
-            try:
-                items.append(next(self._source))
-            except StopIteration:
-                self._source = None
-                return
+        return self._head.__copy__()
 
 
 class ConjugacyClass:
@@ -744,6 +697,17 @@ class ConjugacyClass:
 
     def __repr__(self) -> str:
         return f"ConjugacyClass({self.representative.cycles()}, size={self.size})"
+
+
+def _chunks(us: list, i: int, top, tail: list, compose):
+    """Walk the transversals us[i:] for tables(), us[i] as the major digit.
+    Each choice of one u per level, composed onto top by compose(u, top),
+    gives one product; yield the tail composed with it as one list."""
+    if i == len(us):
+        yield [compose(t, top) for t in tail]
+    else:
+        for u in us[i]:
+            yield from _chunks(us, i + 1, compose(u, top), tail, compose)
 
 
 def _orbits_are_p_powers(tables: list, degree: int, p: int) -> bool:

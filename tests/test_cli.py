@@ -385,6 +385,21 @@ def test_verify_cvl_runnable_and_all_honour_list(which, capsys, monkeypatch):
                    if which == "all" or e.fits(260_000)]
 
 
+@pytest.mark.parametrize("argv, lists", [
+    (["--cap", "0"], "CVL1, CVL2, CVL3"),
+    (["--list", "CVL1", "--cap", "1000"], "CVL1"),
+], ids=["every-list-cap-0", "CVL1-cap-1000"])
+def test_verify_cvl_runnable_that_runs_nothing_is_capped(argv, lists, tmp_path, capsys):
+    f = tmp_path / "r.json"
+    code, out, err = run(["verify", "cvl", "runnable", *argv, "--out", str(f)], capsys)
+    assert code == 3 and not out
+    assert err.splitlines() == [f"cap exceeded: no runnable member of {lists} fits "
+                                f"enumeration cap {argv[-1]}"]
+    assert not f.exists()
+    # verify cvl all at the same cap reports its members out of scale
+    assert run(["verify", "cvl", "all", *argv], capsys)[0] == 3
+
+
 def test_exit_code_mapping():
     ok = VerificationReport("X", "cvl", "CVL1", STATUS_VERIFIED)
     bad = VerificationReport("X", "cvl", "CVL1", STATUS_COUNTEREXAMPLE)

@@ -10,10 +10,11 @@ import random
 import pytest
 
 from radlab import catalog
+from radlab import group as group_module
 from radlab.arith import factorize, p_part
 from radlab.criteria import find_witness, member_b1, member_combined
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
-from radlab.group import SYLOW_DRAWS, PermutationGroup, group_from_cycles
+from radlab.group import SYLOW_DRAWS, TAIL_LIMIT, PermutationGroup, group_from_cycles
 from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order, wide
 from radlab.structure import _commutator_tables, derived_subgroup, solvable_radical
 from radlab.verify import verify_cvl, verify_equivalence
@@ -347,7 +348,7 @@ def test_tables_enumeration_is_deterministic():
     assert len(first) == 60
 
 
-def reference_tables(g):
+def odometer_tables(g):
     """Plain odometer over every chain level, one product per element: the
     enumeration order tables() must keep."""
     levels = g._levels
@@ -384,8 +385,58 @@ def test_tables_match_reference_order(corpus):
     groups = dict(corpus, PSL2_8_aut=psl28.group, PSL2_8_socle=psl28.socle, wide=wide)
     assert type(wide._ident) is tuple
     for name, g in groups.items():
-        assert list(g.tables()) == list(reference_tables(g)), name
+        assert list(g.tables()) == list(odometer_tables(g)), name
     assert len(list(wide.tables())) == 2160
+
+
+def reference_tables(g):
+    """tables() as it was before the recursive walk: an index odometer over
+    the levels that are not folded into the tail, each partial product
+    composed with the whole tail."""
+    levels = g._levels
+    if not levels:
+        yield g._ident
+        return
+    compose = g._mul
+    pad = g._pad
+    us = [[pair[0] + pad for pair in lvl.orbit.values()] for lvl in levels[:-1]]
+    tail = [pair[0] for pair in levels[-1].orbit.values()]
+    while us and len(us[-1]) * len(tail) <= TAIL_LIMIT:
+        tail = [compose(t, u) for u in us.pop() for t in tail]
+    k = len(us)
+    sizes = [len(u) for u in us]
+    idx = [0] * k
+    partial = [g._ident + pad] * (k + 1)
+    i = 0
+    while True:
+        while i < k:
+            u = us[i][idx[i]]
+            partial[i + 1] = compose(u, partial[i]) if idx[i] else partial[i]
+            i += 1
+        top = partial[k]
+        yield from [compose(t, top) for t in tail]
+        i = k - 1
+        while i >= 0:
+            idx[i] += 1
+            if idx[i] < sizes[i]:
+                break
+            idx[i] = 0
+            i -= 1
+        if i < 0:
+            return
+
+
+def test_tables_match_the_folded_odometer():
+    # every catalog group and CVL realization, element for element, plus the
+    # trivial group and a degree-300 group (tuple tables)
+    groups = catalog_groups()
+    groups["trivial"] = PermutationGroup(5, [])
+    groups["wide"] = G(300, "(1 2 3 4 5 6)", "(1 2)", "(290 291 292)", "(100 101 102 103 104)")
+    assert type(groups["wide"]._ident) is tuple
+    for name, g in groups.items():
+        got = list(g.tables(g.order))
+        assert got == list(reference_tables(g)), name
+        assert len(got) == g.order, name
 
 
 def test_every_table_handed_out_has_the_degree_length():
@@ -463,9 +514,18 @@ def brute_p_elements(g, p):
     return out
 
 
-def test_p_element_stream_interleaved_iterations():
+def test_p_element_stream_interleaved_iterations(monkeypatch):
     g = catalog.build_named("PGL2_7")
     expect = brute_p_elements(g, 2)
+    pulled = []
+    enumerate_tables = g.tables
+
+    def counting(cap):
+        for t in enumerate_tables(cap):
+            pulled.append(t)
+            yield t
+
+    monkeypatch.setattr(g, "tables", counting)
     stream = g.p_element_tables(2)
     first = iter(stream)
     head = [next(first) for _ in range(3)]
@@ -474,8 +534,11 @@ def test_p_element_stream_interleaved_iterations():
     assert head == expect[:3] and head2 == expect[:7]
     assert head + list(first) == expect
     assert head2 + list(second) == expect
-    # once the source is exhausted, iteration is over the filled list
-    assert type(iter(stream)) is type(iter([]))
+    assert len(pulled) == g.order
+    # once the source is exhausted, an iteration replays the whole list and
+    # pulls nothing more from the enumeration
+    assert list(stream) == expect
+    assert len(pulled) == g.order
     assert g.p_element_tables(2) is stream
 
 
@@ -567,14 +630,15 @@ def test_sylow_subgroup_certificate(corpus):
                 assert p_part(table_order(t, g.degree), p) == table_order(t, g.degree)
 
 
-def test_sylow_is_seeded_and_budgeted():
+def test_sylow_is_seeded_and_budgeted(monkeypatch):
     g = catalog.cvl_realization("PSL3_3").group
     first = g.sylow(2, random.Random(5))
     again = catalog.cvl_realization("PSL3_3").group.sylow(2, random.Random(5))
     assert first.gens == again.gens and first.order == 32
-    assert g.sylow(2, random.Random(5), budget=0) is None
+    monkeypatch.setattr(group_module, "SYLOW_DRAWS", 0)
+    assert g.sylow(2, random.Random(5)) is None
     # nothing to draw when p does not divide |G|
-    assert g.sylow(7, random.Random(5), budget=0).order == 1
+    assert g.sylow(7, random.Random(5)).order == 1
 
 
 def test_sylow_budget_exhausted_falls_back_to_same_classes(monkeypatch):
@@ -584,12 +648,16 @@ def test_sylow_budget_exhausted_falls_back_to_same_classes(monkeypatch):
         draw = g.sylow
         calls = []
 
-        def no_draws(q, rng, budget=0):
+        def no_draws(q, rng):
             calls.append(q)
-            return draw(q, rng, budget=0)
+            sub = draw(q, rng)
+            assert sub is None
+            return sub
 
-        monkeypatch.setattr(g, "sylow", no_draws)
-        assert list(g.class_representatives_tables(p)) == expect, name
+        with monkeypatch.context() as m:
+            m.setattr(g, "sylow", no_draws)
+            m.setattr(group_module, "SYLOW_DRAWS", 0)
+            assert list(g.class_representatives_tables(p)) == expect, name
         assert calls == [p]
 
 
@@ -882,7 +950,7 @@ def test_pair_classes_match_listed_generator_classes(corpus):
         assert_classes_match_reference(g, reps, label)
 
 
-def test_generating_pair_falls_back_to_listed_generators():
+def test_generating_pair_falls_back_to_listed_generators(monkeypatch):
     # C2^3 and S3 x C2 x C2 need three generators, so no pair can pass
     c2_cubed = G(6, "(1 2)", "(3 4)", "(5 6)")
     s3_c2_c2 = G(7, "(1 2 3)", "(1 2)", "(4 5)", "(6 7)")
@@ -896,8 +964,10 @@ def test_generating_pair_falls_back_to_listed_generators():
         expect = list(catalog.build_named(name).class_representatives_tables())
         g = catalog.build_named(name)
         assert len(g.gens) > 2
-        assert [a for a, _ainv in g.generating_pair(budget=0)] == g.gens
-        assert list(g.class_representatives_tables()) == expect, name
+        with monkeypatch.context() as m:
+            m.setattr(group_module, "PAIR_DRAWS", 0)
+            assert [a for a, _ainv in g.generating_pair()] == g.gens
+            assert list(g.class_representatives_tables()) == expect, name
         assert [a for a, _ainv in g.generating_pair()] == g.gens  # cached
 
 
