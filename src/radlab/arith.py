@@ -95,14 +95,18 @@ class Factorization:
         return " * ".join(f"{p}^{a}" if a > 1 else str(p) for p, a in self.pairs)
 
 
+@lru_cache(maxsize=None, typed=True)
 def factorize(n: int) -> Factorization:
     """Factor a positive integer.
 
     Trial division by all primes below 2^16; a remaining cofactor must itself be
     prime (checked deterministically) or the input is rejected as out of scope.
+    Results are memoized (a Factorization is frozen, so callers share one);
+    typed, so that 24.0 or True never hits the entry of 24 or 1 and is
+    refused as it is on a first call. An error is never memoized.
     """
-    if n <= 0:
-        raise PreconditionError(f"factorize requires a positive integer, got {n}")
+    if type(n) is bool or not isinstance(n, int) or n <= 0:
+        raise PreconditionError(f"factorize requires a positive integer, got {n!r}")
     pairs: list[tuple[int, int]] = []
     rest = n
     for p in _small_primes():

@@ -56,25 +56,31 @@ scan raises CapExceededError as soon as the next pair would pass it; a scan
 that tests no pair never raises.
 
 The scans of a group (the domain, for find_witness) share one memo, which
-_scan makes on the first of them as PermutationGroup.scan_memo and the group
-drops, with everything else it derived, when it grows. It is a triple of
-dicts. scans maps (checked table, kind, probe, cap) to the pairs a finished
-scan tested and its witness or None; nothing else decides that outcome,
-because the cap decides which pair subgroups may be enumerated for coverage,
-and the commuting strong generators depend only on the group and the checked
-table. A scan stopped by the pair cap stores nothing. verdicts maps (checked
-table, y table) to the (solvable, order, steps) of every pair subgroup
-decided: the criteria share pairs, so a pair met again is looked up, not
-rebuilt, and a hit in the exhaustive phase rebuilds <checked, y> only when
-its elements are to be covered. registry, passed to solvability, holds the
-nonsolvable pair subgroups and derived terms already descended, so a descent
-meeting one of them stops with its exact steps. Every pair counts against
-the cap whether decided afresh or remembered: a scans entry is refused
-exactly when its pairs exceed what is left of the budget (taken as 0 when
-negative), so pairs_tested, the witness and the pair-cap error are those of
-a fresh scan whatever was asked before. Only _scan reads or fills the memo:
-witness_is_valid descends every pair afresh, so a re-check never reads what
-a scan stored.
+the first scan or probe of the group makes as PermutationGroup.scan_memo
+and the group drops, with everything else it derived, when it grows. It is
+four dicts. scans maps (checked table, kind, probe, cap) to the pairs a
+finished scan tested and its witness or None; nothing else decides that
+outcome, because the cap decides which pair subgroups may be enumerated for
+coverage, and the commuting strong generators depend only on the group and
+the checked table. A scan stopped by the pair cap stores nothing. verdicts
+maps (checked table, y table) to the (solvable, order, steps) of every pair
+subgroup decided: the criteria share pairs, so a pair met again is looked
+up, not rebuilt, and a hit in the exhaustive phase rebuilds <checked, y>
+only when its elements are to be covered. registry, passed to solvability,
+holds the nonsolvable pair subgroups and derived terms already descended, so
+a descent meeting one of them stops with its exact steps. probes maps a kind
+to the probe data that does not depend on x: the components of the strong
+generators and of their products, the (s^-1, s) pairs of the strong
+generators, and the family's primes. Only the x-conjugates of the probe
+depend on x, and the p-component of s^-1 * x * s is s^-1 * comp_p(x) * s,
+so a probe computes x's components and conjugates them; the store is built
+from the strong generators, so it must go when the group grows. Every pair
+counts against the cap whether decided afresh or remembered: a scans entry
+is refused exactly when its pairs exceed what is left of the budget (taken
+as 0 when negative), so pairs_tested, the witness and the pair-cap error are
+those of a fresh scan whatever was asked before. Only _scan and
+_probe_tables read or fill the memo: witness_is_valid descends every pair
+afresh, so a re-check never reads what a scan stored.
 """
 
 from __future__ import annotations
@@ -142,6 +148,13 @@ def _prime_of_order(o: int) -> int | None:
     return f[0][0] if len(f) == 1 else None
 
 
+def _memo(g: PermutationGroup) -> tuple:
+    """g's scan memo (see the module docstring), made on first use."""
+    if g.scan_memo is None:
+        g.scan_memo = ({}, {}, {}, {})
+    return g.scan_memo
+
+
 def _family_primes(g: PermutationGroup, kind) -> list:
     """The primes of a scan's family of y in g, ascending: [None] for all of
     g (kind None), [2] for the 2-elements (kind 2; a group of odd order
@@ -160,35 +173,58 @@ def _component_table(t, n: int, p: int, o: int):
     return t if pa == o else pow_table(t, primary_exponent(o, pa), n)
 
 
+def _components(t, n: int, primes) -> list:
+    """The components of a raw table t for primes, in their order (t itself
+    for p None), with the absent ones and the identity dropped."""
+    if primes == [None]:
+        cands = [t]
+    else:
+        o = table_order(t, n)
+        cands = [_component_table(t, n, p, o) for p in primes]
+    return [c for c in cands if c is not None and not is_ident(c)]
+
+
+def _probe_store(g: PermutationGroup, kind, probes: dict) -> tuple:
+    """What _probe_tables needs of g for kind that does not depend on x:
+    the components of the strong generators (head) and of the products of
+    pairs of the first 6 (prods), each without repeats, the (s^-1, s) pair
+    of each strong generator s, s padded to compose by, and the family's
+    primes. The pairs do not depend on kind either, so the kinds in probes,
+    g's probe store, share one list."""
+    n = g.degree
+    strong = g.strong_tables()
+    primes = _family_primes(g, kind)
+    head = [c for s in strong for c in _components(s, n, primes)]
+    prods = [
+        c
+        for i, s in enumerate(strong[:6])
+        for t in strong[i + 1 : 6]
+        for c in _components(mul(s, t), n, primes)
+    ]
+    pairs = next((store[2] for store in probes.values()), None)
+    if pairs is None:
+        pairs = [(inv(s, n), s + g._pad) for s in strong]
+    return list(dict.fromkeys(head)), list(dict.fromkeys(prods)), pairs, primes
+
+
 def _probe_tables(g: PermutationGroup, xt, kind) -> list:
     """Deterministic cheap witness candidates, all elements of g.
 
     The base: strong generators, x-conjugates of them, a few products. Kind
     None keeps the base elements; another kind keeps their components for
-    the primes of its family.
+    the primes of its family, without repeats, in base order and primes
+    ascending within each. Only x's own components are computed per call;
+    the rest is g's probe store (see the module docstring).
     """
-    n = g.degree
-    strong = g.strong_tables()
-    base: list = list(strong)
-    for s in strong:
-        base.append(mul(mul(inv(s, n), xt), s))
-    for i, s in enumerate(strong[:6]):
-        for t in strong[i + 1 : 6]:
-            base.append(mul(s, t))
-    primes = _family_primes(g, kind)
-    out: list = []
-    seen: set = set()
-    for t in base:
-        if kind is None:
-            cands = [t]
-        else:
-            o = table_order(t, n)
-            cands = [_component_table(t, n, p, o) for p in primes]
-        for c in cands:
-            if c is not None and not is_ident(c) and c not in seen:
-                seen.add(c)
-                out.append(c)
-    return out
+    probes = _memo(g)[3]
+    store = probes.get(kind)
+    if store is None:
+        store = probes[kind] = _probe_store(g, kind, probes)
+    head, prods, pairs, primes = store
+    compose, pad = g._mul, g._pad
+    comps = [c + pad for c in _components(xt, g.degree, primes)]
+    conj = (compose(compose(si, c), sw) for si, sw in pairs for c in comps)
+    return list(dict.fromkeys(chain(head, conj, prods)))
 
 
 def _coverage(h: PermutationGroup, cap: int) -> list:
@@ -249,9 +285,7 @@ def _scan(
     count; raises CapExceededError when a pair would take the count past
     pair_cap.
     """
-    if g.scan_memo is None:
-        g.scan_memo = ({}, {}, {})
-    scans, verdicts, registry = g.scan_memo
+    scans, verdicts, registry, _probes = _memo(g)
     budget = max(pair_cap - tested, 0)
     key = (x.t, kind, probe, cap)
     out = scans.get(key)

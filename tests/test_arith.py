@@ -71,6 +71,34 @@ def test_factorize_rejects_huge_composite_cofactor():
     assert factorize(4 * p).pairs == ((2, 2), (p, 1))
 
 
+def test_factorize_rejects_non_integers():
+    # factorize is memoized, so an int-equal key must not let a refused
+    # argument through on a later call, or hand float primes to int callers
+    for bad in (2.5, 24.0, 1.0, True, False, "24", None):
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                factorize(bad)
+    assert factorize(24).pairs == ((2, 3), (3, 1))
+    assert factorize(1).pairs == ()
+    for bad in (24.0, True, 1.0):
+        with pytest.raises(PreconditionError):
+            factorize(bad)
+    assert all(type(p) is int and type(a) is int for p, a in factorize(24))
+
+
+def test_factorize_errors_are_not_memoized():
+    p, q = 65537, 65539
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            factorize(0)
+        with pytest.raises(UnfactorableError):
+            factorize(p * q * 4)
+
+
+def test_factorize_shares_one_result_per_value():
+    assert factorize(25920) is factorize(25920)
+
+
 def test_factorization_accessors():
     f = factorize(360)
     assert f.exponent(2) == 3 and f.exponent(3) == 2 and f.exponent(5) == 1

@@ -28,7 +28,9 @@ from radlab.criteria import (
     METHOD_TWO_ELEMENT,
     MembershipVerdict,
     Witness,
+    _component_table,
     _coverage,
+    _family_primes,
     _pair_solvable,
     _prime_of_order,
     _probe_tables,
@@ -41,7 +43,7 @@ from radlab.criteria import (
 )
 from radlab.errors import CapExceededError, MembershipError, PreconditionError
 from radlab.group import DEFAULT_ENUMERATION_CAP, PermutationGroup
-from radlab.perm import Perm, table_order
+from radlab.perm import Perm, inv, is_ident, mul, table_order
 from radlab.structure import (
     derived_series,
     primary_decomposition,
@@ -639,7 +641,7 @@ class NoMemo(dict):
 def memo_free(g):
     """A fresh copy of g whose scans and pair verdicts are never stored."""
     h = PermutationGroup(g.degree, g.generators)
-    h.scan_memo = (NoMemo(), NoMemo(), {})
+    h.scan_memo = (NoMemo(), NoMemo(), {}, {})
     return h
 
 
@@ -785,7 +787,7 @@ def test_pair_memo_keeps_every_outcome_at_the_pair_cap_boundary(monkeypatch):
     for name in ("S3xA5", "A5wr2", "PSL2_7"):
         g = catalog.build_named(name)
         pairs_only = catalog.build_named(name)
-        pairs_only.scan_memo = (NoMemo(), {}, {})
+        pairs_only.scan_memo = (NoMemo(), {}, {}, {})
         tested = built = 0
         for cls in g.class_representatives():
             x = cls.representative
@@ -940,7 +942,7 @@ def test_witness_check_never_reads_the_registry():
     honest = member_b1(catalog.build_named("S5"), x).witness
     assert honest.subgroup_order == 120 and witness_is_valid(honest)
     seeded = catalog.build_named("S5")
-    seeded.scan_memo = ({}, {}, {120: (tuple(seeded.gens), honest.derived_steps + 3)})
+    seeded.scan_memo = ({}, {}, {120: (tuple(seeded.gens), honest.derived_steps + 3)}, {})
     w = member_b1(seeded, x).witness
     assert (w.y, w.subgroup_order) == (honest.y, 120)
     assert w.derived_steps == honest.derived_steps + 3
@@ -1025,6 +1027,94 @@ def test_random_groups_memos_and_oracle_agree(seed):
         r = radical_by_method(g, method)[0]
         assert r.order == radical.order, (seed, method)
         assert all(radical.contains(p) for p in r.generators), (seed, method)
+
+
+# -- the probe's candidates against a builder that keeps no store --------------
+
+
+def reference_probe_tables(g, xt, kind) -> list:
+    """Deterministic cheap witness candidates, all elements of g.
+
+    The base: strong generators, x-conjugates of them, a few products. Kind
+    None keeps the base elements; another kind keeps their components for
+    the primes of its family.
+    """
+    n = g.degree
+    strong = g.strong_tables()
+    base: list = list(strong)
+    for s in strong:
+        base.append(mul(mul(inv(s, n), xt), s))
+    for i, s in enumerate(strong[:6]):
+        for t in strong[i + 1 : 6]:
+            base.append(mul(s, t))
+    primes = _family_primes(g, kind)
+    out: list = []
+    seen: set = set()
+    for t in base:
+        if kind is None:
+            cands = [t]
+        else:
+            o = table_order(t, n)
+            cands = [_component_table(t, n, p, o) for p in primes]
+        for c in cands:
+            if c is not None and not is_ident(c) and c not in seen:
+                seen.add(c)
+                out.append(c)
+    return out
+
+
+PROBE_KINDS = (None, 2, "odd", "any")
+CVL_CAP = 260_000
+
+
+def probe_groups():
+    """Fresh copies of every corpus group, every runnable CVL realization and
+    the seeded random block groups, so each starts with no probe store."""
+    gs = {name: catalog.build_named(name) for name in catalog.CORPUS}
+    for socle in catalog._REALIZERS:
+        gs["Aut" + socle] = catalog.cvl_realization(socle).group
+    for seed in RANDOM_SEEDS:
+        gs[f"random{seed}"] = random_block_group(seed)[0]
+    return gs
+
+
+def probe_elements(g, seed):
+    """g's class representatives, then a few seeded random elements."""
+    rng = random.Random(seed)
+    reps = [c.representative for c in g.class_representatives(cap=CVL_CAP)]
+    return reps + [g.random_element(rng) for _ in range(4)]
+
+
+def assert_probe_matches(g, xs, label):
+    for x in xs:
+        for kind in PROBE_KINDS:
+            got = _probe_tables(g, x.t, kind)
+            assert got == reference_probe_tables(g, x.t, kind), (label, x.cycles(), kind)
+
+
+def test_probe_tables_match_the_reference_builder():
+    # the first x of each kind builds g's probe store (cold), every later x
+    # reads it (warm); the candidates, and their order, must be those built
+    # afresh from the strong generators, since the order decides witnesses
+    for seed, (name, g) in enumerate(probe_groups().items()):
+        assert g.scan_memo is None, name
+        assert_probe_matches(g, probe_elements(g, seed), name)
+        assert set(g.scan_memo[3]) == set(PROBE_KINDS), name
+        assert not g.scan_memo[0] and not g.scan_memo[1], name
+
+
+def test_probe_store_is_rebuilt_after_adopt():
+    # a group warmed on its first generator and then grown by _adopt must
+    # probe from its new strong generators, not from the store of before
+    for seed, (name, g) in enumerate(probe_groups().items()):
+        grown = PermutationGroup(g.degree, g.generators[:1])
+        xs = probe_elements(g, seed)
+        assert_probe_matches(grown, [Perm(g.degree, t) for t in grown.gens], name)
+        grew = [grown._adopt(t) for t in g.gens[1:]]
+        if any(grew):
+            assert grown.scan_memo is None, name
+        assert grown.order == g.order, name
+        assert_probe_matches(grown, xs, name)
 
 
 # -- verdicts transported from the least member of a class --------------------
