@@ -78,9 +78,12 @@ from the strong generators, so it must go when the group grows. Every pair
 counts against the cap whether decided afresh or remembered: a scans entry
 is refused exactly when its pairs exceed what is left of the budget (taken
 as 0 when negative), so pairs_tested, the witness and the pair-cap error are
-those of a fresh scan whatever was asked before. Only _scan and
-_probe_tables read or fill the memo: witness_is_valid descends every pair
-afresh, so a re-check never reads what a scan stored.
+those of a fresh scan whatever was asked before. find_witness also
+keeps in g's scans, under ("domain", generators), each domain it has found
+to be a subgroup of g, so a domain is sifted into g once, not once per
+call. Only _scan, _probe_tables and find_witness read or fill the memo:
+witness_is_valid descends every pair afresh, so a re-check never reads what
+a scan stored.
 """
 
 from __future__ import annotations
@@ -424,8 +427,13 @@ def find_witness(
     dom = domain if domain is not None else g
     if dom.degree != g.degree:
         raise PreconditionError("witness domain degree differs from the group's")
-    if dom is not g and not all(g.contains_table(t) for t in dom.gens):
-        raise PreconditionError("witness domain is not a subgroup of the group")
+    if dom is not g:
+        scans = _memo(g)[0]
+        key = ("domain", tuple(dom.gens))
+        if key not in scans:
+            if not all(g.contains_table(t) for t in dom.gens):
+                raise PreconditionError("witness domain is not a subgroup of the group")
+            scans[key] = True
     if constraint not in _CONSTRAINT_KINDS:
         raise PreconditionError(f"unknown witness constraint {constraint!r}")
     return _scan(dom, x, _CONSTRAINT_KINDS[constraint], False, pair_cap, cap)[0]

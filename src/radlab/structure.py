@@ -6,7 +6,9 @@ derived_series consumes all of it, and solvability stops it at the first
 sufficient exit, so no derived subgroup is computed past a verdict. A caller
 may hand solvability a registry of nonsolvable groups already descended; a
 term equal to one of them ends the descent with its known steps, so the same
-derived series is not built twice. solvable_radical keeps no registry."""
+derived series is not built twice. solvable_radical keeps no registry.
+socle_certificate proves R(G) = 1 from a normal subgroup S of G, with the
+oracle run on S alone."""
 
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from .arith import factorize, is_prime
 from .errors import PreconditionError
 from .group import DEFAULT_ENUMERATION_CAP, PermutationGroup
-from .perm import Perm, is_ident, mul
+from .perm import Perm, ident_table, inv, is_ident, mul
 
 
 def _commutator_tables(g: PermutationGroup) -> list:
@@ -136,6 +138,58 @@ def solvable_radical(
             for t in closure.gens:
                 radical._adopt(t)
     return radical
+
+
+def socle_certificate(
+    g: PermutationGroup,
+    s: PermutationGroup,
+    cap: int = DEFAULT_ENUMERATION_CAP,
+) -> str | None:
+    """None when s proves R(g) = 1, else the first condition that fails:
+
+      "normal"      s is normal in g
+      "stabilizer"  for one point a in each s-orbit, s_a fixes only a
+      "radical"     R(s) = 1, by solvable_radical on s
+
+    With all three, R(g) = 1: R(g) meets s in a solvable normal subgroup of
+    s, which is trivial, so R(g) centralizes s. A permutation c that
+    centralizes s has s_c(a) = s_a, so c fixes each chosen a and with it
+    every point of a's orbit; so C_g(s) = 1. The fixed points of s_a are
+    those of its Schreier generators u_b * t * u_(b^t)^-1, for u_b in a
+    transversal of a's orbit and t a generator of s. No Sylow subgroup is
+    drawn, and the oracle lists the classes of s, not of g."""
+    n = g.degree
+    if s.degree != n:
+        raise PreconditionError("the subgroup's degree differs from the group's")
+    if not all(
+        s.contains_table(mul(mul(gi, t), gt)) for gt, gi in zip(g.gens, g.gen_invs) for t in s.gens
+    ):
+        return "normal"
+    seen: set = set()
+    for a in range(n):
+        if a in seen:
+            continue
+        orbit = {a: ident_table(n)}
+        queue = [a]
+        for b in queue:  # the list grows as it is read: breadth-first
+            for t in s.gens:
+                c = t[b]
+                if c not in orbit:
+                    orbit[c] = mul(orbit[b], t)
+                    queue.append(c)
+        seen.update(queue)
+        fixed = set(range(n)) - {a}
+        for b in queue:
+            for t in s.gens:
+                sg = mul(mul(orbit[b], t), inv(orbit[t[b]], n))
+                fixed = {p for p in fixed if sg[p] == p}
+            if not fixed:
+                break
+        else:
+            return "stabilizer"
+    if solvable_radical(s, cap).order != 1:
+        return "radical"
+    return None
 
 
 def p_elements(

@@ -286,6 +286,38 @@ def test_find_witness_rejects_bad_domain(corpus):
         find_witness(PermutationGroup(5, [x]), x, domain=a5)
 
 
+def test_find_witness_checks_a_domain_once_per_group(monkeypatch):
+    # the socle's generators are sifted into g on the first call only, and
+    # again after g grows, which drops its memo; every call still sifts x
+    real = catalog.cvl_realization("PSL2_8")
+    g, socle = real.group, real.socle
+    sifts = []
+    contains_table = PermutationGroup.contains_table
+
+    def counting(self, t):
+        if self is g:
+            sifts.append(t)
+        return contains_table(self, t)
+
+    monkeypatch.setattr(PermutationGroup, "contains_table", counting)
+    x = next(iter(g.class_representatives(order_filter=3))).representative
+    per_call = []
+    for grow in (False, False, True, False):
+        if grow:
+            assert g._adopt(Perm.from_cycles("(1 2)", 9).t) and g.scan_memo is None
+        sifts.clear()
+        find_witness(g, x, CONSTRAINT_TWO_ELEMENT, domain=socle)
+        per_call.append(len(sifts))
+    assert per_call == [1 + len(socle.gens), 1, 1 + len(socle.gens), 1]
+    # a domain outside g is refused on every call, also after another
+    # domain passed on g
+    g = catalog.cvl_realization("PSL2_8").group
+    find_witness(g, x, CONSTRAINT_TWO_ELEMENT, domain=socle)
+    for _ in range(2):
+        with pytest.raises(PreconditionError):
+            find_witness(g, x, CONSTRAINT_TWO_ELEMENT, domain=catalog.symmetric(9))
+
+
 def test_pair_cap_is_distinct_from_exhaustion(corpus):
     s4 = corpus["S4"]
     x = Perm.from_cycles("(1 2)", 4)

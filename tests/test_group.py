@@ -9,7 +9,7 @@ import random
 
 import pytest
 
-from radlab import catalog
+from radlab import catalog, verify
 from radlab import group as group_module
 from radlab.arith import factorize, p_part
 from radlab.criteria import find_witness, member_b1, member_combined
@@ -767,6 +767,8 @@ def chains_the_scans_build(monkeypatch, real):
         return grew
 
     monkeypatch.setattr(PermutationGroup, "_add_generator", recording)
+    # verify_cvl keeps its realization: build it again in both runs
+    verify._REALIZATIONS.clear()
     for name in ("S3xA5", "PSL2_7"):
         assert verify_equivalence(catalog.build_named(name), name).status == "verified"
     assert verify_cvl("PSL3_2", "CVL2").status == "verified"

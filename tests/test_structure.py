@@ -18,6 +18,7 @@ from radlab.structure import (
     p_elements,
     primary_decomposition,
     primary_exponent,
+    socle_certificate,
     solvability,
     solvable_radical,
     two_part_split,
@@ -174,6 +175,30 @@ def test_radical_of_wreath_swap_a5_is_trivial():
 def test_radical_of_sn_trivial_from_5(corpus):
     for n in (5, 6, 7):
         assert solvable_radical(corpus[f"S{n}"]).order == 1
+
+
+def test_socle_certifies_every_cvl_realization_radical_free():
+    # verify_cvl counts a missing witness as a counterexample because
+    # R(Aut(G0)) = 1; the socle proves it for every runnable realization
+    for socle in catalog._REALIZERS:
+        real = catalog.cvl_realization(socle)
+        assert socle_certificate(real.group, real.socle) is None, socle
+
+
+def test_socle_certificate_names_the_condition_that_fails():
+    # C2 x A5, C2 on points 1-2 and A5 on 3-7: the A5 factor is normal with
+    # R(A5) = 1, but its point stabilizers fix 1 and 2, and the C2 that
+    # centralizes it is the radical
+    g = catalog.build_named("C2xA5")
+    a5 = PermutationGroup(7, [Perm(7, t) for t in g.gens if t[:2] == bytes([0, 1])])
+    assert a5.order == 60 and solvable_radical(g).order == 2
+    assert socle_certificate(g, a5) == "stabilizer"
+    a4 = PermutationGroup(5, [Perm.from_cycles("(1 2 3)", 5), Perm.from_cycles("(2 3 4)", 5)])
+    assert socle_certificate(catalog.symmetric(5), a4) == "normal"
+    s4 = catalog.symmetric(4)
+    assert socle_certificate(s4, s4) == "radical"
+    with pytest.raises(PreconditionError):
+        socle_certificate(catalog.symmetric(5), s4)
 
 
 def test_radical_membership_characterization(small_corpus):

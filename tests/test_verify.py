@@ -4,6 +4,7 @@ import ast
 import hashlib
 import importlib.util
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -227,3 +228,28 @@ def test_cvl_report_bytes_as_pinned():
     pinned, wl = _benchmark_pins()
     reports = [verify_cvl(socle, lst, cap=wl.CVL_CAP) for lst, socle, _aut in wl.CVL_PAIRS]
     assert _sha256(reports_to_json(reports)) == pinned["cvl_runnable"]
+
+
+def test_kept_realizations_report_as_fresh_ones():
+    # verify_cvl keeps each realization it builds: every pinned pair must
+    # give the bytes of a cold check, whichever lists ran on its socle first
+    _pinned, wl = _benchmark_pins()
+    pairs = [(lst, socle) for lst, socle, _aut in wl.CVL_PAIRS]
+    cold = {}
+    for lst, socle in pairs:
+        verify._REALIZATIONS.clear()
+        cold[lst, socle] = verify_cvl(socle, lst, cap=wl.CVL_CAP).to_json()
+    rng = random.Random(31)
+    for _ in range(3):
+        verify._REALIZATIONS.clear()
+        rng.shuffle(pairs)
+        for lst, socle in pairs:
+            assert verify_cvl(socle, lst, cap=wl.CVL_CAP).to_json() == cold[lst, socle], (lst, socle)
+    # a kept realization answers the caps as a fresh one does
+    assert "PSL3_4" in verify._REALIZATIONS
+    assert verify_cvl("PSL3_4", "CVL3").status == STATUS_OUT_OF_SCALE
+    assert verify_cvl("PSL3_4", "CVL3", cap=wl.CVL_CAP, pair_cap=1).status == STATUS_CAPPED
+    # the catalog itself keeps nothing
+    real = catalog.cvl_realization("PSL3_4")
+    assert real is not catalog.cvl_realization("PSL3_4")
+    assert real is not verify._REALIZATIONS["PSL3_4"]
