@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import PreconditionError, UnfactorableError
@@ -50,25 +49,28 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, order=False)
-class Factorization:
-    """Prime factorization as ordered (prime, exponent) pairs, primes ascending."""
+class Factorization(tuple):
+    """Prime factorization as a tuple of (prime, exponent) pairs, primes ascending."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(self)
 
     @property
     def n(self) -> int:
         value = 1
-        for p, a in self.pairs:
+        for p, a in self:
             value *= p**a
         return value
 
     @property
     def primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.pairs)
+        return tuple(p for p, _ in self)
 
     def exponent(self, p: int) -> int:
-        for q, a in self.pairs:
+        for q, a in self:
             if q == p:
                 return a
         return 0
@@ -76,23 +78,24 @@ class Factorization:
     def p_part(self, p: int) -> int:
         return p ** self.exponent(p)
 
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    # Total order by the factored value.
+    # Ordered by the factored value: a tuple's own order is lexicographic,
+    # under which 2^2 > 2 * 3.
     def __lt__(self, other: "Factorization") -> bool:
         return self.n < other.n
 
     def __le__(self, other: "Factorization") -> bool:
         return self.n <= other.n
 
+    def __gt__(self, other: "Factorization") -> bool:
+        return self.n > other.n
+
+    def __ge__(self, other: "Factorization") -> bool:
+        return self.n >= other.n
+
     def __str__(self) -> str:
-        if not self.pairs:
+        if not self:
             return "1"
-        return " * ".join(f"{p}^{a}" if a > 1 else str(p) for p, a in self.pairs)
+        return " * ".join(f"{p}^{a}" if a > 1 else str(p) for p, a in self)
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -101,7 +104,7 @@ def factorize(n: int) -> Factorization:
 
     Trial division by all primes below 2^16; a remaining cofactor must itself be
     prime (checked deterministically) or the input is rejected as out of scope.
-    Results are memoized (a Factorization is frozen, so callers share one);
+    Results are memoized (a Factorization is a tuple, so callers share one);
     typed, so that 24.0 or True never hits the entry of 24 or 1 and is
     refused as it is on a first call. An error is never memoized.
     """
@@ -126,11 +129,13 @@ def factorize(n: int) -> Factorization:
                 f"{n} has composite cofactor {rest} with no prime factor below 2^16"
             )
     pairs.sort()
-    return Factorization(tuple(pairs))
+    return Factorization(pairs)
 
 
 def p_part(n: int, p: int) -> int:
-    """Largest power of p dividing n."""
+    """Largest power of p dividing n, for n >= 1 and p >= 2."""
+    if n < 1 or p < 2:
+        raise PreconditionError(f"p_part requires n >= 1 and p >= 2, got n={n}, p={p}")
     part = 1
     while n % p == 0:
         n //= p

@@ -21,8 +21,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CycleParseError, GroupFileError, OrderMismatchError, PreconditionError
 from .gf import GF
@@ -281,8 +281,7 @@ _BUILDERS = {
 CORPUS = tuple(_BUILDERS)
 
 
-@dataclass(frozen=True)
-class LoadedGroup:
+class LoadedGroup(NamedTuple):
     group: PermutationGroup
     socle: PermutationGroup | None
 
@@ -394,8 +393,7 @@ def known_names() -> list[str]:
 
 # --------------------------------------------------- cross-validation lists
 
-@dataclass(frozen=True)
-class CvlEntry:
+class CvlEntry(NamedTuple):
     socle: str
     socle_order: int
     aut_order: int | None = None
@@ -411,16 +409,14 @@ class CvlEntry:
         return self.runnable and self.aut_order <= cap
 
 
-@dataclass(frozen=True)
-class CvlList:
+class CvlList(NamedTuple):
     name: str
     x_order: int
     witness_kind: str  # the find_witness constraint: "odd-p" or "two-element"
     entries: tuple
 
 
-@dataclass(frozen=True)
-class CvlRealization:
+class CvlRealization(NamedTuple):
     name: str
     group: PermutationGroup  # the full automorphism group, as permutations
     socle: PermutationGroup

@@ -24,8 +24,8 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from . import catalog
 from .criteria import DEFAULT_PAIR_CAP, METHOD_COMBINED, METHOD_TWO_ELEMENT
@@ -54,8 +54,7 @@ EXIT_USAGE = 2
 EXIT_SCALE = 3
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     enumeration_cap: int = DEFAULT_ENUMERATION_CAP
     pair_cap: int = DEFAULT_PAIR_CAP
     output_path: str | None = None

@@ -88,8 +88,8 @@ a scan stored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from itertools import chain
+from typing import NamedTuple
 
 from .arith import factorize, p_part
 from .errors import CapExceededError, MembershipError, PreconditionError
@@ -109,8 +109,7 @@ CONSTRAINT_TWO_ELEMENT = "two-element"
 CONSTRAINT_ANY = "any"
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """A pair proving non-membership: <x, y> is not solvable.
 
     prime: y is a p-element of this prime; None when y has composite order
@@ -126,8 +125,7 @@ class Witness:
     derived_steps: int
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
+class MembershipVerdict(NamedTuple):
     element: Perm
     method: str
     member: bool
@@ -147,7 +145,7 @@ def _pair_solvable(
 
 
 def _prime_of_order(o: int) -> int | None:
-    f = factorize(o).pairs
+    f = factorize(o)
     return f[0][0] if len(f) == 1 else None
 
 
@@ -335,7 +333,7 @@ def _moved(w: Witness | None, d, n: int) -> Witness | None:
     if w is None or d is None:
         return w
     di = inv(d, n)
-    return replace(w, x=Perm(n, mul(mul(di, w.x.t), d)), y=Perm(n, mul(mul(di, w.y.t), d)))
+    return w._replace(x=Perm(n, mul(mul(di, w.x.t), d)), y=Perm(n, mul(mul(di, w.y.t), d)))
 
 
 def _member(

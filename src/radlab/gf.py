@@ -90,9 +90,9 @@ class FiniteField:
         if q < 2 or q > (1 << 16):
             raise PreconditionError(f"supported field sizes are 2..2^16, got {q}")
         fact = factorize(q)
-        if len(fact.pairs) != 1:
+        if len(fact) != 1:
             raise PreconditionError(f"{q} is not a prime power")
-        (self.char, self.deg), = fact.pairs
+        (self.char, self.deg), = fact
         self.q = q
         r, a = self.char, self.deg
         if a == 1:

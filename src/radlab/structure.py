@@ -12,7 +12,7 @@ oracle run on S alone."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import factorize, is_prime
 from .errors import PreconditionError
@@ -52,8 +52,7 @@ def _descent(g: PermutationGroup):
         h = d
 
 
-@dataclass(frozen=True)
-class DerivedSeries:
+class DerivedSeries(NamedTuple):
     """Derived series until trivial (solvable) or stabilized (not solvable)."""
 
     terms: tuple[PermutationGroup, ...]
@@ -201,20 +200,17 @@ def p_elements(
     return [Perm(g.degree, t) for t in g.p_element_tables(p, cap)]
 
 
-@dataclass(frozen=True)
-class PrimaryDecomposition:
+class PrimaryDecomposition(NamedTuple):
     """x as the product of its pairwise commuting primary components.
 
-    components[p] = x**k(p) has order p**a(p) where o(x) = prod p**a(p); the
-    exponents k(p) = primary_exponent(o, p**a(p)) solve k = 1 mod p**a(p),
-    k = 0 mod rest.
+    components[p] = x**k(p) has order p**a(p) where o(x) = prod p**a(p), for
+    k(p) = primary_exponent(o, p**a(p)).
     The identity decomposes into no components.
     """
 
     element: Perm
     order: int
     components: tuple[tuple[int, Perm], ...]  # (prime, component), primes ascending
-    exponents: tuple[tuple[int, int], ...]  # (prime, power exponent k(p))
 
     def component(self, p: int) -> Perm:
         for q, c in self.components:
@@ -232,17 +228,11 @@ def primary_exponent(o: int, pa: int) -> int:
 
 def primary_decomposition(x: Perm) -> PrimaryDecomposition:
     o = x.order()
-    comps = []
-    exps = []
-    for p, a in factorize(o):
-        k = primary_exponent(o, p**a)
-        comps.append((p, x**k))
-        exps.append((p, k))
-    return PrimaryDecomposition(x, o, tuple(comps), tuple(exps))
+    comps = tuple((p, x ** primary_exponent(o, p**a)) for p, a in factorize(o))
+    return PrimaryDecomposition(x, o, comps)
 
 
-@dataclass(frozen=True)
-class TwoPartSplit:
+class TwoPartSplit(NamedTuple):
     """x = two_part * odd_part with the two factors commuting powers of x,
     o(two_part) the 2-part of o(x) and o(odd_part) its odd part."""
 

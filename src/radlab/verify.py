@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import catalog
 from .criteria import (
@@ -67,8 +67,7 @@ MEMBER_FNS = {
 }
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     x_text: str
     x_order: int
     class_size: int
@@ -92,14 +91,20 @@ class CheckResult:
         }
 
 
-@dataclass
 class VerificationReport:
-    group: str
-    kind_key: str  # "method" for criterion runs, "cvl" for list checks
-    kind: str
-    status: str
-    checks: list = field(default_factory=list)
-    elapsed_ms: int = 0  # console-only; never serialized
+    """One harness run; the harness sets status, checks and elapsed_ms as it
+    goes. kind_key is "method" for criterion runs, "cvl" for list checks;
+    elapsed_ms is console-only and never serialized."""
+
+    __slots__ = ("group", "kind_key", "kind", "status", "checks", "elapsed_ms")
+
+    def __init__(self, group: str, kind_key: str, kind: str, status: str):
+        self.group = group
+        self.kind_key = kind_key
+        self.kind = kind
+        self.status = status
+        self.checks: list = []
+        self.elapsed_ms = 0
 
     def to_json_dict(self) -> dict:
         return {

@@ -113,6 +113,22 @@ def test_factorization_accessors():
 def test_factorization_ordering():
     assert factorize(6) < factorize(10)
     assert factorize(12) <= factorize(12)
+    # by value in all four comparisons, where a tuple's own order would put
+    # 2^2 after 2 * 3
+    assert factorize(4) < factorize(6) and factorize(4) <= factorize(6)
+    assert not factorize(4) > factorize(6) and not factorize(4) >= factorize(6)
+    assert factorize(6) > factorize(4) and factorize(6) >= factorize(6)
+    ns = [12, 7, 1, 30, 4, 6, 97, 64, 9, 10]
+    assert [f.n for f in sorted(factorize(n) for n in ns)] == sorted(ns)
+
+
+def test_factorization_is_a_tuple_of_pairs():
+    f = factorize(12)
+    assert isinstance(f, tuple) and f == ((2, 2), (3, 1)) and f[0] == (2, 2)
+    assert f.pairs == tuple(f) and type(f.pairs) is tuple
+    assert hash(f) == hash(Factorization([(2, 2), (3, 1)]))
+    with pytest.raises(AttributeError):
+        f.n = 5
 
 
 def test_is_prime_matches_sieve():
@@ -143,6 +159,13 @@ def test_p_part():
         p = rng.choice([2, 3, 5, 7, 11, 13])
         part = p_part(n, p)
         assert n % part == 0 and (n // part) % p != 0
+
+
+@pytest.mark.parametrize("n, p", [(0, 2), (12, 1), (12, -2), (-8, 2), (12, 0)])
+def test_p_part_rejects_bad_input(n, p):
+    # n = 0 or p = 1 would divide out p forever
+    with pytest.raises(PreconditionError):
+        p_part(n, p)
 
 
 def test_primitive_prime_divisor_known_values():

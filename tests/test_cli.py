@@ -435,6 +435,14 @@ def _console_script(name):
     return ep
 
 
+def test_import_stays_lean():
+    # each of these would cost every CLI call and bench repetition its import
+    code = ("import sys, radlab, radlab.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'multiprocessing') if m in sys.modules))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0 and r.stdout.strip() == "[]", r.stdout + r.stderr
+
+
 def test_console_entry_points():
     r = subprocess.run([sys.executable, "-m", "radlab", "order", "A5"],
                        capture_output=True, text=True)

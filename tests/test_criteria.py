@@ -193,18 +193,15 @@ def test_witnesses_revalidate_and_reject_tampering(corpus):
     v = member_oddp(a5, Perm.from_cycles("(1 2)(3 4)", 5))
     w = v.witness
     assert witness_is_valid(w, ambient=a5, y_domain=a5)
-    import dataclasses
 
-    bad_order = dataclasses.replace(w, subgroup_order=w.subgroup_order + 1)
+    bad_order = w._replace(subgroup_order=w.subgroup_order + 1)
     assert not witness_is_valid(bad_order)
-    bad_steps = dataclasses.replace(w, derived_steps=w.derived_steps + 1)
+    bad_steps = w._replace(derived_steps=w.derived_steps + 1)
     assert not witness_is_valid(bad_steps)
-    bad_prime = dataclasses.replace(w, prime=13)
+    bad_prime = w._replace(prime=13)
     assert not witness_is_valid(bad_prime)
     # a solvable pair is never a witness
-    fake = dataclasses.replace(
-        w, y=w.x**2, subgroup_order=5, derived_steps=0
-    )
+    fake = w._replace(y=w.x**2, subgroup_order=5, derived_steps=0)
     assert not witness_is_valid(fake)
     # <x> holds x but not y, and a witness is a pair of elements of G
     only_x = PermutationGroup(5, [w.x])

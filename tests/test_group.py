@@ -292,6 +292,8 @@ def test_p_element_tables():
     assert sorted(p.cycles() for p in twos) == ["(1 2)", "(1 3)", "(2 3)"]
     a4 = G(4, "(1 2 3)", "(2 3 4)")
     assert len(list(a4.p_element_tables(3))) == 8
+    with pytest.raises(PreconditionError):  # p = 1 is refused, not looped on
+        s4.p_element_tables(1)
 
 
 def test_base_and_order_consistency():
