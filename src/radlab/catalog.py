@@ -11,9 +11,10 @@ directory ships with the package; the RADLAB_DATA environment variable
 overrides it.
 
 Simple-group order formulas live here both to assert recipe correctness and
-to index list members that are beyond desk scale. _SOCLE_ORDERS and
-_AUT_ORDERS are the one source of each list member's orders, and
-cvl_realization is the one place that checks a realization against them.
+to index list members that are beyond desk scale. _SOCLE_ORDERS holds each
+list member's socle order, and each _REALIZERS row the Aut order of a
+runnable member beside its maker; cvl_realization is the one place that
+checks a realization against them.
 """
 
 from __future__ import annotations
@@ -205,20 +206,10 @@ def projective_special_linear(d: int, q: int) -> PermutationGroup:
     return _assert_order(g, psl_order(d, q))
 
 
-def projective_general_linear_2(q: int) -> PermutationGroup:
-    """PGL_2(q) on the projective line."""
-    k = GF(q)
-    pts = projective_points(k, 2)
-    idx = {p: i for i, p in enumerate(pts)}
-    gens = [point_perm(k, pts, idx, m) for m in sl_generators(k, 2)]
-    gens.append(point_perm(k, pts, idx, ((k.generator(), 0), (0, 1))))
-    g = PermutationGroup(len(pts), gens, name=f"PGL2_{q}")
-    return _assert_order(g, q * (q * q - 1))
-
-
 def projective_semilinear_2(q: int) -> tuple[PermutationGroup, PermutationGroup]:
     """(PGammaL_2(q), PSL_2(q)) on the projective line; the socle's
-    generators come first in the big group's generator list."""
+    generators come first in the big group's generator list. For prime q
+    there is no field automorphism, and the big group is PGL_2(q)."""
     k = GF(q)
     pts = projective_points(k, 2)
     idx = {p: i for i, p in enumerate(pts)}
@@ -226,7 +217,8 @@ def projective_semilinear_2(q: int) -> tuple[PermutationGroup, PermutationGroup]
     extra = [point_perm(k, pts, idx, ((k.generator(), 0), (0, 1)))]
     if k.deg > 1:
         extra.append(frobenius_point_perm(k, pts, idx))
-    g = PermutationGroup(len(pts), socle_gens + extra, name=f"PGammaL2_{q}")
+    name = f"PGammaL2_{q}" if k.deg > 1 else f"PGL2_{q}"
+    g = PermutationGroup(len(pts), socle_gens + extra, name=name)
     socle = PermutationGroup(len(pts), socle_gens, name=f"PSL2_{q}")
     _assert_order(socle, psl_order(2, q))
     return _assert_order(g, q * (q * q - 1) * k.deg), socle
@@ -273,7 +265,7 @@ _BUILDERS = {
     "PSL2_9": lambda: projective_special_linear(2, 9),
     "PSL2_11": lambda: projective_special_linear(2, 11),
     "PSL2_13": lambda: projective_special_linear(2, 13),
-    "PGL2_7": lambda: projective_general_linear_2(7),
+    "PGL2_7": lambda: projective_semilinear_2(7)[0],
     "PSL3_2": lambda: projective_special_linear(3, 2),
     "SL2_3v": sl2_3_on_vectors,
 }
@@ -320,7 +312,11 @@ def _check_group_file(path, data) -> None:
 
 def load_group_file(path) -> LoadedGroup:
     with open(path, encoding="utf-8") as fh:
-        data = json.load(fh)
+        try:
+            data = json.load(fh)
+        except (ValueError, RecursionError) as e:
+            # ValueError covers JSONDecodeError and UnicodeDecodeError
+            raise GroupFileError(f"{path}: not a JSON group file: {e}") from None
     _check_group_file(path, data)
     degree = data["degree"]
     gens = []
@@ -454,24 +450,27 @@ _SOCLE_ORDERS = {
     "Sz_8": sz_order(8),
 }
 
-_AUT_ORDERS = {
-    "A6": 1440,
-    "PSL3_2": 336,
-    "PSL2_8": 1512,
-    "PSL2_27": 58968,
-    "PSL3_3": 11232,
-    "PSL4_2": 40320,
-    "PSL3_4": 241920,
-    "PSU3_3": 12096,
-    "PSU4_2": 51840,
-    "PSp4_3": 51840,
-    "PSU3_4": 249600,
-    "Sz_8": 87360,
+# socle name -> (|Aut(G0)|, () -> (Aut(G0), G0)), one row per runnable member;
+# the makers look up _real_s8 and _real_psl3_doubled only when called
+_REALIZERS = {
+    "A6": (1440, lambda: projective_semilinear_2(9)),
+    "PSL3_2": (336, lambda: projective_semilinear_2(7)),
+    "PSL2_8": (1512, lambda: projective_semilinear_2(8)),
+    "PSL2_27": (58968, lambda: projective_semilinear_2(27)),
+    "PSL3_3": (11232, lambda: _real_psl3_doubled(3, False)),
+    "PSL3_4": (241920, lambda: _real_psl3_doubled(4, True)),
+    "PSL4_2": (40320, lambda: _real_s8()),
+    "PSU3_3": (12096, lambda: _bundled("PSU3_3")),
+    "PSU4_2": (51840, lambda: _bundled("PSU4_2")),
+    "PSp4_3": (51840, lambda: _bundled("PSp4_3")),
+    "PSU3_4": (249600, lambda: _bundled("PSU3_4")),
+    "Sz_8": (87360, lambda: _bundled("Sz_8")),
 }
 
 
 def _entry(name: str) -> CvlEntry:
-    return CvlEntry(name, _SOCLE_ORDERS[name], _AUT_ORDERS.get(name))
+    row = _REALIZERS.get(name)
+    return CvlEntry(name, _SOCLE_ORDERS[name], row[0] if row else None)
 
 
 CVL_LISTS = {
@@ -536,32 +535,16 @@ def _real_psl3_doubled(q: int, with_diag: bool) -> tuple[PermutationGroup, Permu
     return g, PermutationGroup(n, socle_gens, name=f"PSL3_{q}")
 
 
-# socle name -> () -> (Aut(G0), G0)
-_REALIZERS = {
-    "A6": lambda: projective_semilinear_2(9),
-    "PSL3_2": lambda: projective_semilinear_2(7),
-    "PSL2_8": lambda: projective_semilinear_2(8),
-    "PSL2_27": lambda: projective_semilinear_2(27),
-    "PSL3_3": lambda: _real_psl3_doubled(3, False),
-    "PSL3_4": lambda: _real_psl3_doubled(4, True),
-    "PSL4_2": _real_s8,
-    "PSU3_3": lambda: _bundled("PSU3_3"),
-    "PSU4_2": lambda: _bundled("PSU4_2"),
-    "PSp4_3": lambda: _bundled("PSp4_3"),
-    "PSU3_4": lambda: _bundled("PSU3_4"),
-    "Sz_8": lambda: _bundled("Sz_8"),
-}
-
-
 def cvl_realization(socle_name: str) -> CvlRealization:
     """Aut(G0) with its distinguished socle, for a runnable list member; both
-    orders are checked against _AUT_ORDERS and _SOCLE_ORDERS."""
-    maker = _REALIZERS.get(socle_name)
-    if maker is None:
+    orders are checked against its _REALIZERS row and _SOCLE_ORDERS."""
+    row = _REALIZERS.get(socle_name)
+    if row is None:
         raise PreconditionError(f"no desk-scale realization for {socle_name!r}")
+    aut_order, maker = row
     group, socle = maker()
     for what, g, expected in (
-        ("automorphism group", group, _AUT_ORDERS[socle_name]),
+        ("automorphism group", group, aut_order),
         ("socle", socle, _SOCLE_ORDERS[socle_name]),
     ):
         if g.order != expected:

@@ -21,7 +21,6 @@ member fits, since it would verify nothing.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -282,7 +281,7 @@ def main(argv=None) -> int:
     except CapExceededError as e:
         print(f"cap exceeded: {e}", file=sys.stderr)
         return EXIT_SCALE
-    except (RadlabError, OSError, json.JSONDecodeError) as e:
+    except (RadlabError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -18,7 +18,6 @@ from radlab.catalog import (
     dihedral,
     direct_product,
     load_group_file,
-    projective_general_linear_2,
     projective_semilinear_2,
     projective_special_linear,
     psl_order,
@@ -143,8 +142,13 @@ def test_psl_builders_match_formula():
 
 
 def test_pgl2_and_semilinear():
-    pgl = projective_general_linear_2(7)
+    # for prime q the semilinear group is PGL_2(q), the one constructor of
+    # the corpus group PGL2_7 and of the PSL3_2 = PSL2_7 realization
+    pgl = projective_semilinear_2(7)[0]
+    assert pgl.name == "PGL2_7"
     assert pgl.degree == 8 and pgl.order == 336
+    assert projective_semilinear_2(8)[0].name == "PGammaL2_8"
+    assert build_named("PGL2_7").gens == cvl_realization("PSL3_2").group.gens
     g, socle = projective_semilinear_2(8)
     assert (g.order, socle.order) == (1512, 504)
     assert g.degree == socle.degree == 9
@@ -203,9 +207,14 @@ def test_build_named_bundled_socle_is_built_once(monkeypatch):
     assert g.name == "PSU3_3" and g.order == 6048
 
 
-@pytest.mark.parametrize("table", ["_AUT_ORDERS", "_SOCLE_ORDERS"])
+@pytest.mark.parametrize("table", ["_REALIZERS", "_SOCLE_ORDERS"])
 def test_cvl_realization_checks_both_orders(monkeypatch, table):
-    monkeypatch.setitem(getattr(catalog, table), "PSL3_2", 169)
+    # the Aut order lives in the realizer row beside its maker
+    rows = {
+        "_REALIZERS": (169, catalog._REALIZERS["PSL3_2"][1]),
+        "_SOCLE_ORDERS": 169,
+    }
+    monkeypatch.setitem(getattr(catalog, table), "PSL3_2", rows[table])
     with pytest.raises(OrderMismatchError, match="PSL3_2.*expected 169"):
         cvl_realization("PSL3_2")
 
@@ -239,7 +248,7 @@ def test_bundled_files_match_declared_orders():
         loaded = load_group_file(data_dir() / f"{name}.json")
         assert loaded.socle is not None, name
         assert loaded.socle.order == catalog._SOCLE_ORDERS[name], name
-        assert loaded.group.order == catalog._AUT_ORDERS[name], name
+        assert loaded.group.order == catalog._REALIZERS[name][0], name
         seen.add(name)
     assert len(seen) == 5
 
@@ -345,29 +354,6 @@ def test_cvl_lists_for():
     assert cvl_lists_for("A6") == ["CVL2"]
     assert cvl_lists_for("Sz_8") == ["CVL3"]
     assert cvl_lists_for("A7") == []
-
-
-def test_cvl_index_file_matches_rosters():
-    with open(data_dir() / "cvl_index.json", encoding="utf-8") as fh:
-        on_disk = json.load(fh)
-    expected = {}
-    for ln, lst in sorted(CVL_LISTS.items()):
-        entries = []
-        for e in lst.entries:
-            row = {
-                "socle": e.socle,
-                "socle_order": e.socle_order,
-                "status": "runnable" if e.runnable else "out-of-desk-scale",
-            }
-            if e.runnable:
-                row["aut_order"] = e.aut_order
-            entries.append(row)
-        expected[ln] = {
-            "x_order": lst.x_order,
-            "witness_kind": lst.witness_kind,
-            "entries": entries,
-        }
-    assert on_disk == {"lists": expected}
 
 
 def test_cvl_realizations_small():

@@ -37,10 +37,20 @@ def test_order_group_file(tmp_path, capsys):
 
 
 def test_order_malformed_file(tmp_path, capsys):
-    p = tmp_path / "broken.json"
-    p.write_text("{ not json")
-    code, _, err = run(["order", str(p)], capsys)
-    assert code == 2 and err
+    # bad JSON, bytes that are not UTF-8, and nesting too deep for the
+    # decoder: each is a parse error, in process and as a process
+    for i, data in enumerate((b"{ not json", b"\xff\xfe", b"[" * 100000 + b"]" * 100000)):
+        p = tmp_path / f"broken{i}.json"
+        p.write_bytes(data)
+        code, out, err = run(["order", str(p)], capsys)
+        assert code == 2 and not out
+        assert err.count("error:") == 1 and err.startswith(f"error: {p}")
+        assert "Traceback" not in err
+        proc = subprocess.run(
+            [sys.executable, "-m", "radlab", "order", str(p)],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2 and proc.stderr == err
 
 
 @pytest.mark.parametrize("data, field", [

@@ -4,9 +4,9 @@ The files hold Aut(G0) for the five list members with no catalog recipe:
 PSU3(3), PSU4(2) and PSU3(4) from unitary transvections, PSp4(3) from
 symplectic transvections, and Sz(8) from its natural 4x4 matrices over
 GF(8). Each file marks the simple socle inside the extension with
-socle_generators indices, and is read back and checked against
-catalog._AUT_ORDERS and catalog._SOCLE_ORDERS. The tool also writes
-cvl_index.json from the catalog rosters, and writes nothing else.
+socle_generators indices, and is read back and checked against the Aut
+order in its catalog._REALIZERS row and catalog._SOCLE_ORDERS. The tool
+writes nothing else.
 
 Run from the repository root:
 
@@ -15,7 +15,6 @@ Run from the repository root:
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -212,34 +211,10 @@ def emit_aut_file(name: str, degree: int, socle_gens, extra_gens):
     catalog.save_group_file(path, aut, socle_indices=range(len(socle_gens)))
     loaded = catalog.load_group_file(path)
     orders = (loaded.group.order, loaded.socle.order)
-    wanted = (catalog._AUT_ORDERS[name], catalog._SOCLE_ORDERS[name])
+    wanted = (catalog._REALIZERS[name][0], catalog._SOCLE_ORDERS[name])
     if orders != wanted:
         raise OrderMismatchError(f"{name}: (aut, socle) orders {orders}, wanted {wanted}")
     print(f"  {name}.json: aut {orders[0]}, socle {orders[1]}, degree {degree}")
-
-
-def emit_index():
-    lists = {}
-    for ln, lst in sorted(catalog.CVL_LISTS.items()):
-        entries = []
-        for e in lst.entries:
-            row = {
-                "socle": e.socle,
-                "socle_order": e.socle_order,
-                "status": "runnable" if e.runnable else "out-of-desk-scale",
-            }
-            if e.runnable:
-                row["aut_order"] = e.aut_order
-            entries.append(row)
-        lists[ln] = {
-            "x_order": lst.x_order,
-            "witness_kind": lst.witness_kind,
-            "entries": entries,
-        }
-    path = OUT_DIR / "cvl_index.json"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps({"lists": lists}, indent=2, sort_keys=True) + "\n")
-    print(f"  cvl_index.json: {sum(len(v['entries']) for v in lists.values())} entries")
 
 
 def main():
@@ -253,8 +228,6 @@ def main():
         ("Sz_8", suzuki_8),
     ):
         emit_aut_file(name, *build(catalog._SOCLE_ORDERS[name]))
-    print("index:")
-    emit_index()
 
 
 if __name__ == "__main__":
