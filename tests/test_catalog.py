@@ -209,12 +209,10 @@ def test_build_named_bundled_socle_is_built_once(monkeypatch):
 
 @pytest.mark.parametrize("table", ["_REALIZERS", "_SOCLE_ORDERS"])
 def test_cvl_realization_checks_both_orders(monkeypatch, table):
-    # the Aut order lives in the realizer row beside its maker
-    rows = {
-        "_REALIZERS": (169, catalog._REALIZERS["PSL3_2"][1]),
-        "_SOCLE_ORDERS": 169,
-    }
-    monkeypatch.setitem(getattr(catalog, table), "PSL3_2", rows[table])
+    rows = getattr(catalog, table)
+    # a _REALIZERS row is (Aut order, maker): corrupt only the order
+    row = (169, rows["PSL3_2"][1]) if table == "_REALIZERS" else 169
+    monkeypatch.setitem(rows, "PSL3_2", row)
     with pytest.raises(OrderMismatchError, match="PSL3_2.*expected 169"):
         cvl_realization("PSL3_2")
 
