@@ -10,8 +10,9 @@ the group it sifts no Schreier generator that an earlier verification proved
 to lie in the next level's group. Strong generators are only ever added, so
 that group only grows, and the levels below a level being verified are
 complete, so such a sift would return the identity and insert nothing: the
-chain is the one that sifting everything builds. A rebuilt orbit keeps the
-transversal pair (u, u^-1) of a point whose u is unchanged.
+chain is the one that sifting everything builds. One breadth-first pass per
+level rebuilds its orbit and sifts its Schreier generators together; a
+rebuilt orbit keeps the pair (u, u^-1) of a point whose u is unchanged.
 
 A conjugacy class is represented by its first member in enumeration order.
 Classes of elements of a prime order p are found without enumerating the
@@ -203,7 +204,14 @@ class PermutationGroup:
             self._verify_level(m)
 
     def _verify_level(self, i: int) -> None:
-        """Rebuild level i's orbit and make all its Schreier generators sift.
+        """Rebuild level i's orbit and sift its Schreier generators in one
+        breadth-first walk over (point, generator) pairs (p, s): a pair
+        reaching a new point q is a tree edge, u_q = u_p * s, and q keeps its
+        old (u, u^-1) pair when that u is unchanged; any other pair gives the
+        Schreier generator u_p * s * u_q^-1 at once. The chain is that of a
+        full rebuild and a second walk: the pairs come in the same order,
+        such a q already has its final u, and sifting and inserting touch
+        only the levels below i, never level i's generators or its orbit.
 
         A Schreier generator in lvl.proven is skipped: an earlier
         verification of level i sifted it, or inserted its residue, so it
@@ -213,45 +221,31 @@ class PermutationGroup:
         its sift would return the identity and insert nothing.
         """
         lvl = self._levels[i]
-        self._rebuild_orbit(lvl)
         proven = lvl.proven
-        orbit = lvl.orbit
         compose = self._mul
         ident = self._ident
-        for p, (u, _uinv) in orbit.items():
-            for s in lvl.gens:
-                us = compose(u, s)
-                uq, uqinv = orbit[s[p]]
-                if us == uq:  # the Schreier generator us * uq^-1 is the identity
-                    continue
-                schreier = compose(us, uqinv)
-                if schreier in proven:
-                    continue
-                proven.add(schreier)
-                res, j = self._sift(schreier, i + 1)
-                if res != ident:
-                    self._insert_strong(i + 1, j, res)
-
-    def _rebuild_orbit(self, lvl: _Level) -> None:
-        """Breadth-first orbit of lvl.base; a point whose u is unchanged
-        keeps its old (u, u^-1) pair rather than inverting u again."""
-        ident = self._ident
-        compose = self._mul
-        n = self.degree
         old = lvl.orbit
         orbit = {lvl.base: (ident, ident + self._pad)}
         queue = [lvl.base]
         for p in queue:  # the list grows as it is read: breadth-first
             u = orbit[p][0]
             for s in lvl.gens:
+                us = compose(u, s)
                 q = s[p]
-                if q not in orbit:
-                    uq = compose(u, s)
+                pair = orbit.get(q)
+                if pair is None:  # a tree edge: us is u_q
                     pair = old.get(q)
-                    if pair is None or pair[0] != uq:
-                        pair = (uq, inv_wide(uq, n))
+                    if pair is None or pair[0] != us:
+                        pair = (us, inv_wide(us, self.degree))
                     orbit[q] = pair
                     queue.append(q)
+                elif us != pair[0]:  # else the Schreier generator is the identity
+                    schreier = compose(us, pair[1])
+                    if schreier not in proven:
+                        proven.add(schreier)
+                        res, j = self._sift(schreier, i + 1)
+                        if res != ident:
+                            self._insert_strong(i + 1, j, res)
         lvl.orbit = orbit
 
     # -- basic queries --------------------------------------------------------
@@ -653,7 +647,12 @@ class PermutationGroup:
             return cached
         source = iter(())
         if pe > 1:
-            source = filter(self._p_power_checker(p, pe), self.tables(cap))
+            # a p-element's cycles have p-power lengths at most the degree, so
+            # its order divides the largest power of p at most min(pe, degree)
+            bound = p
+            while bound * p <= min(pe, self.degree):
+                bound *= p
+            source = filter(self._p_power_checker(p, bound), self.tables(cap))
         stream = self._pelement_cache[p] = _FilledStream(source)
         return stream
 

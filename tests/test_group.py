@@ -15,7 +15,17 @@ from radlab.arith import factorize, p_part
 from radlab.criteria import find_witness, member_b1, member_combined
 from radlab.errors import CapExceededError, DegreeMismatchError, PreconditionError
 from radlab.group import SYLOW_DRAWS, TAIL_LIMIT, PermutationGroup, group_from_cycles
-from radlab.perm import Perm, format_cycles, inv, is_ident, mul, pow_table, table_order, wide
+from radlab.perm import (
+    Perm,
+    format_cycles,
+    inv,
+    inv_wide,
+    is_ident,
+    mul,
+    pow_table,
+    table_order,
+    wide,
+)
 from radlab.structure import _commutator_tables, derived_subgroup, solvable_radical
 from radlab.verify import verify_cvl, verify_equivalence
 
@@ -751,13 +761,12 @@ def test_identity_skip_builds_the_same_chains(monkeypatch):
     chains = chains_of_catalog_groups()
     assert len(chains) == len(catalog.CORPUS) + 2 * 12
     monkeypatch.setattr(PermutationGroup, "_verify_level", reference_verify_level)
-    monkeypatch.setattr(PermutationGroup, "_rebuild_orbit", reference_rebuild_orbit)
     expect = chains_of_catalog_groups()
     for name, chain in expect.items():
         assert chains[name] == chain, name
 
 
-def chains_the_scans_build(monkeypatch, real):
+def chains_the_scans_build(monkeypatch, real, snapshot=chain_snapshot):
     """Snapshot of every chain state the three runs reach, one per
     _add_generator call that grew a group, in call order."""
     states = []
@@ -765,7 +774,7 @@ def chains_the_scans_build(monkeypatch, real):
     def recording(self, t):
         grew = real(self, t)
         if grew:
-            states.append(chain_snapshot(self))
+            states.append(snapshot(self))
         return grew
 
     monkeypatch.setattr(PermutationGroup, "_add_generator", recording)
@@ -784,11 +793,100 @@ def test_every_chain_the_scans_build_is_the_reference_chain(monkeypatch):
     add_generator = PermutationGroup._add_generator
     states = chains_the_scans_build(monkeypatch, add_generator)
     monkeypatch.setattr(PermutationGroup, "_verify_level", reference_verify_level)
-    monkeypatch.setattr(PermutationGroup, "_rebuild_orbit", reference_rebuild_orbit)
     expect = chains_the_scans_build(monkeypatch, add_generator)
     assert len(states) == len(expect) > 400
     for i, (got, want) in enumerate(zip(states, expect)):
         assert got == want, i
+
+
+def two_pass_verify_level(self, i):
+    """_verify_level before the single pass, verbatim but for the call to
+    two_pass_rebuild_orbit: the orbit is rebuilt in full, then a second
+    walk over the same (point, generator) pairs sifts the Schreier
+    generators."""
+    lvl = self._levels[i]
+    two_pass_rebuild_orbit(self, lvl)
+    proven = lvl.proven
+    orbit = lvl.orbit
+    compose = self._mul
+    ident = self._ident
+    for p, (u, _uinv) in orbit.items():
+        for s in lvl.gens:
+            us = compose(u, s)
+            uq, uqinv = orbit[s[p]]
+            if us == uq:  # the Schreier generator us * uq^-1 is the identity
+                continue
+            schreier = compose(us, uqinv)
+            if schreier in proven:
+                continue
+            proven.add(schreier)
+            res, j = self._sift(schreier, i + 1)
+            if res != ident:
+                self._insert_strong(i + 1, j, res)
+
+
+def two_pass_rebuild_orbit(self, lvl):
+    """Breadth-first orbit of lvl.base; a point whose u is unchanged
+    keeps its old (u, u^-1) pair rather than inverting u again."""
+    ident = self._ident
+    compose = self._mul
+    n = self.degree
+    old = lvl.orbit
+    orbit = {lvl.base: (ident, ident + self._pad)}
+    queue = [lvl.base]
+    for p in queue:  # the list grows as it is read: breadth-first
+        u = orbit[p][0]
+        for s in lvl.gens:
+            q = s[p]
+            if q not in orbit:
+                uq = compose(u, s)
+                pair = old.get(q)
+                if pair is None or pair[0] != uq:
+                    pair = (uq, inv_wide(uq, n))
+                orbit[q] = pair
+                queue.append(q)
+    lvl.orbit = orbit
+
+
+def chain_and_proven(g):
+    return chain_snapshot(g), [set(lvl.proven) for lvl in g._levels]
+
+
+def test_single_pass_matches_the_two_pass_build(monkeypatch):
+    # the chains, the proven sets and the number of _sift calls are those of
+    # the two-pass build above: catalog groups and the 12 realizations, the
+    # trivial group, a degree-300 group (tuple tables), and every chain
+    # state of three harness runs
+    def groups_built(_m):
+        groups = catalog_groups()
+        groups["trivial"] = PermutationGroup(5, [])
+        groups["wide"] = G(300, "(1 2 3 4 5 6)", "(1 2)", "(290 291 292)", "(100 101 102 103 104)")
+        assert type(groups["wide"]._ident) is tuple
+        return {name: chain_and_proven(g) for name, g in groups.items()}
+
+    def states_reached(m):
+        return dict(enumerate(chains_the_scans_build(m, add_generator, chain_and_proven)))
+
+    add_generator = PermutationGroup._add_generator
+    sift = PermutationGroup._sift
+    for build in (groups_built, states_reached):
+        runs = []
+        for verify_level in (PermutationGroup._verify_level, two_pass_verify_level):
+            calls = []
+
+            def counting(self, t, start=0):
+                calls.append(start)
+                return sift(self, t, start)
+
+            with monkeypatch.context() as m:
+                m.setattr(PermutationGroup, "_verify_level", verify_level)
+                m.setattr(PermutationGroup, "_sift", counting)
+                runs.append((build(m), len(calls)))
+        (got, got_sifts), (want, want_sifts) = runs
+        assert len(got) == len(want) > 30
+        for key, chain in want.items():
+            assert got[key] == chain, (build.__name__, key)
+        assert got_sifts == want_sifts > 0, build.__name__
 
 
 def test_proven_schreier_generators_stay_in_the_deeper_group():
@@ -876,15 +974,28 @@ def test_sylow_builds_no_chain_for_a_non_p_power_orbit(monkeypatch):
 
 
 def test_p_element_filter_matches_pow_table_stream():
+    # the stream raises each element to the largest power of p at most
+    # min(|G|_p, degree); the expected stream raises it to |G|_p, and some
+    # groups take a bound below |G|_p
+    bounded = {}
     for name in catalog.CORPUS:
         g = catalog.build_named(name)
         ident = g._ident
+        checker = g._p_power_checker
+        exponents = []
+        g._p_power_checker = lambda p, pe: exponents.append(pe) or checker(p, pe)
         for p in factorize(g.order).primes:
             pe = p_part(g.order, p)
             expect = [
                 t for t in g.tables() if t != ident and pow_table(t, pe, g.degree) == ident
             ]
             assert list(g.p_element_tables(p)) == expect, (name, p)
+            bound = max(p**k for k in range(1, pe.bit_length()) if p**k <= min(pe, g.degree))
+            assert exponents[-1] == bound, (name, p)
+            if bound < pe:
+                bounded[name, p] = (bound, pe)
+    assert bounded["S7", 2] == (4, 16)
+    assert bounded["A5wr2", 2] == (8, 32)
 
 
 def reference_class(g, t):
